@@ -26,6 +26,10 @@ class NotKernelElement(ValueError):
     """Word is not a kernel element of the code."""
 
 
+class IndexingInconsistency(RuntimeError):
+    """Self-check failure: derived data disagrees with the code's indexing."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of an axiom check; witness points at the first violation."""
@@ -87,6 +91,24 @@ def kernel_ints(words: Iterable[int]) -> list[int]:
     ]
     kernel.sort()
     return kernel
+
+
+def kernel_iota(words: tuple[int, ...], n: int) -> tuple[list[int], int | None]:
+    """(kernel, iota) of a verified word table in element order.
+
+    iota is the exponent of the kernel generator a^iota b (taken mod 2n,
+    since a^(iota+2n) b is its complement), or None when the kernel does
+    not have dimension 2.
+    """
+    kernel = kernel_ints(words)
+    if len(kernel) != 4:
+        return kernel, None
+    u = (1 << (4 * n)) - 1
+    kappa = next(z for z in kernel if z not in (0, u))
+    idx = words.index(kappa)
+    if idx < 4 * n:
+        raise IndexingInconsistency("kernel generator is a power of a")
+    return kernel, (idx - 4 * n) % (2 * n)
 
 
 def _kernel_basis(kernel: list[int], length: int) -> tuple[int, list[int]]:
@@ -295,7 +317,6 @@ class AnalysisReport:
     kernel_basis: tuple[BinaryWord, ...]
     is_linear: bool
     is_hfp: bool
-    is_type_q: bool
     bound_violations: tuple[str, ...]
     a_in_kernel: bool | None = None
     failure: str | None = None
@@ -361,7 +382,6 @@ def analyze(code: TypeQCode) -> AnalysisReport:
         kernel_basis=tuple(BinaryWord(b, length) for b in basis),
         is_linear=linear,
         is_hfp=verdict.ok,
-        is_type_q=verdict.ok,
         bound_violations=(),
         a_in_kernel=code.a_vec.bits in set(kernel),
         failure=verdict.failure,

@@ -27,11 +27,6 @@ def rot_halves(v: int, half: int, k: int = 1) -> int:
     return lo | (hi << half)
 
 
-def swap_reverse(v: int, half: int) -> int:
-    """Reverse the full 2*half-bit string (swaps halves, reversing each)."""
-    return reverse_bits(v, 2 * half)
-
-
 def div_x_plus_1(p: int, width: int) -> int:
     """Quotient q with (x+1)*q == p mod x^width - 1, constant term of q = 0.
 

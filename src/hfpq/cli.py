@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import AnalysisReport, analyze
+from .analysis import AnalysisReport, IndexingInconsistency, analyze
 from .core import BinaryWord
 from .search import search_general, search_k2
-from .transforms import IndexingInconsistency, double_code, transpose_code
+from .transforms import double_code, transpose_code
 from .typeq import (
     NotHadamardGroup,
     NotTypeQCandidate,
@@ -130,7 +130,12 @@ def code_from_file(cf: CodeFile) -> TypeQCode:
 
 
 def load_code(path: str) -> TypeQCode:
-    text = Path(path).read_text(encoding="ascii")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lines = data[: exc.start].split(b"\n")
+        raise CodeFileError("non-ASCII byte", len(lines), len(lines[-1]) + 1) from None
     return code_from_file(parse_code_file(text))
 
 
@@ -145,7 +150,6 @@ def report_lines(report: AnalysisReport) -> list[str]:
         f"kernel_basis={basis}",
         f"is_linear={str(report.is_linear).lower()}",
         f"is_hfp={str(report.is_hfp).lower()}",
-        f"is_type_q={str(report.is_type_q).lower()}",
     ]
     if report.failure is not None:
         lines.append(f"failure={report.failure}")
@@ -239,6 +243,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfpq",
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("search", help="exhaustive search for one or more n")
-    p.add_argument("--n", type=int, action="append", required=True)
+    p.add_argument("--n", type=_positive_int, action="append", required=True)
     p.add_argument("--k2-only", action="store_true")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("-o", "--output", default=None,

@@ -175,11 +175,6 @@ def phi1(p: Gf2Poly) -> Gf2Poly:
     return Gf2Poly(reverse_bits(p.coeffs, p.m), p.m)
 
 
-# The full-length variant acts on residues of double degree; the map itself
-# is the same string reversal.
-phi2 = phi1
-
-
 def inflate(p: Gf2Poly) -> Gf2Poly:
     """Substitute x -> x^2, doubling the modulus degree (p(x) -> p(x^2))."""
     out = 0

@@ -1,18 +1,27 @@
 """Exhaustive desk-scale searches for type-Q codes.
 
+Each candidate family is enumerated by one generator:
+
+- _structured(n): iota in [0, 2n), a1 of odd weight, a2 derived from a1
+  and iota; yields the verified candidates in (iota, a1) order.
+- _general(n, stop): every generator word a below stop, in chunks of
+  increasing a; yields the scan kernel's hits of each chunk.
+
 Candidates are pruned by cheap necessary conditions (weight 2n, exact
-division when deriving b) and verified exactly.  Results are deduplicated
-by codeword-set equality only and sorted by the a string, so the output
-is independent of how the candidate space is partitioned.
+division when deriving b) and verified exactly.  search_k2 and
+search_general consume their generator completely; ito_scan takes the
+first hit of each.  Search results are deduplicated by codeword-set
+equality only and sorted by the a string, so the output is independent
+of the order in which candidates are visited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import kernels
-from .analysis import kernel_ints
+from .analysis import kernel_iota
 from .core import BinaryWord
 from .typeq import TypeQCode, codeword_ints, derive_a2, kappa_vector
 from .gf2poly import Gf2Poly
@@ -33,18 +42,38 @@ def _sorted_unique(codes: Iterable[TypeQCode]) -> list[TypeQCode]:
     return sorted(best.values(), key=lambda c: c.a_vec.to_string())
 
 
-def _kernel_iota(words: tuple[int, ...], n: int) -> tuple[list[int], int | None]:
-    """(kernel words, iota) for an already-verified word table."""
-    kernel = kernel_ints(words)
-    if len(kernel) != 4:
-        return kernel, None
-    u = (1 << (4 * n)) - 1
-    kappa = next(z for z in kernel if z not in (0, u))
-    idx = words.index(kappa)
-    if idx < 4 * n:
-        return kernel, None
-    exp = idx - 4 * n
-    return kernel, exp if exp < 2 * n else exp - 2 * n
+def _code(n: int, a_bits: int, b_bits: int, iota: int | None) -> TypeQCode:
+    length = 4 * n
+    return TypeQCode(n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), iota)
+
+
+def _stop(n: int, limit: int | None) -> int:
+    space = 1 << (4 * n)
+    return space if limit is None else min(limit, space)
+
+
+def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Verified (iota, a, b, words) of the structured family."""
+    half = 2 * n
+    for iota in range(half):
+        for a1 in range(1 << half):
+            if a1.bit_count() % 2 == 0:
+                continue
+            a2 = derive_a2(Gf2Poly(a1, half), iota, n).coeffs
+            a_bits = a1 | (a2 << half)
+            b_bits = kernels.derive_b_bits(a_bits, n)
+            if b_bits is None:
+                continue
+            words = kernels.check_candidate(a_bits, b_bits, n)
+            if words is not None:
+                yield iota, a_bits, b_bits, words
+
+
+def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(words scanned so far, (a, b) hits) for each chunk of a in [0, stop)."""
+    for lo in range(0, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        yield hi, kernels.scan_general(n, lo, hi)
 
 
 def search_k2(
@@ -52,7 +81,6 @@ def search_k2(
     *,
     progress: Progress | None = None,
     on_other: Callable[[TypeQCode], None] | None = None,
-    parts: int = 1,
 ) -> list[TypeQCode]:
     """Structured search: iota in [0, 2n), a1 of odd weight, a2 derived.
 
@@ -61,46 +89,16 @@ def search_k2(
     codes whose kernel disagrees (linear hits in particular).
     """
     half = 2 * n
-    length = 4 * n
-    candidates = [
-        (iota, a1)
-        for iota in range(half)
-        for a1 in range(1 << half)
-        if a1.bit_count() % 2 == 1
-    ]
     hits: list[TypeQCode] = []
-    scanned = 0
-    bounds = _part_bounds(len(candidates), parts)
-    for lo, hi in bounds:
-        for iota, a1 in candidates[lo:hi]:
-            scanned += 1
-            a2 = derive_a2(Gf2Poly(a1, half), iota, n).coeffs
-            a_bits = a1 | (a2 << half)
-            b_bits = kernels.derive_b_bits(a_bits, n)
-            if b_bits is None:
-                continue
-            words = kernels.check_candidate(a_bits, b_bits, n)
-            if words is None:
-                continue
-            code = TypeQCode(
-                n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), iota
-            )
-            kernel, found_iota = _kernel_iota(words, n)
-            if found_iota == iota and kappa_vector(iota, n).bits in kernel:
-                hits.append(code)
-                continue
-            if on_other is not None:
-                on_other(TypeQCode(code.n, code.a_vec, code.b_vec, None))
-        if progress is not None:
-            progress(scanned, len(hits))
+    for iota, a_bits, b_bits, words in _structured(n):
+        kernel, found_iota = kernel_iota(words, n)
+        if found_iota == iota and kappa_vector(iota, n).bits in kernel:
+            hits.append(_code(n, a_bits, b_bits, iota))
+        elif on_other is not None:
+            on_other(_code(n, a_bits, b_bits, None))
+    if progress is not None:
+        progress(half << (half - 1), len(hits))
     return _sorted_unique(hits)
-
-
-def _part_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    step = (total + parts - 1) // parts if parts else total
-    return [(i, min(i + step, total)) for i in range(0, total, step)] or [(0, 0)]
 
 
 def search_general(
@@ -108,32 +106,19 @@ def search_general(
     limit: int | None = None,
     *,
     progress: Progress | None = None,
-    parts: int = 1,
 ) -> list[TypeQCode]:
     """Scan every a in GF(2)^(4n) (or the first `limit`), deriving b.
 
     Every hit passes full verification; iota is attached when the kernel
     has dimension 2.
     """
-    length = 4 * n
-    space = 1 << length
-    stop = space if limit is None else min(limit, space)
     hits: list[TypeQCode] = []
-    scanned = 0
-    for lo, hi in _part_bounds(stop, parts):
-        for chunk_lo in range(lo, hi, _CHUNK):
-            chunk_hi = min(chunk_lo + _CHUNK, hi)
-            for a_bits, b_bits in kernels.scan_general(n, chunk_lo, chunk_hi):
-                words = kernels.codeword_table(a_bits, b_bits, n)
-                _, iota = _kernel_iota(words, n)
-                hits.append(
-                    TypeQCode(
-                        n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), iota
-                    )
-                )
-            scanned += chunk_hi - chunk_lo
-            if progress is not None:
-                progress(scanned, len(hits))
+    for scanned, found in _general(n, _stop(n, limit)):
+        for a_bits, b_bits in found:
+            words = kernels.codeword_table(a_bits, b_bits, n)
+            hits.append(_code(n, a_bits, b_bits, kernel_iota(words, n)[1]))
+        if progress is not None:
+            progress(scanned, len(hits))
     return _sorted_unique(hits)
 
 
@@ -146,40 +131,6 @@ class ItoScanRow:
     witness: TypeQCode | None
 
 
-def _first_structured(n: int) -> TypeQCode | None:
-    half = 2 * n
-    length = 4 * n
-    for iota in range(half):
-        for a1 in range(1 << half):
-            if a1.bit_count() % 2 == 0:
-                continue
-            a2 = derive_a2(Gf2Poly(a1, half), iota, n).coeffs
-            a_bits = a1 | (a2 << half)
-            b_bits = kernels.derive_b_bits(a_bits, n)
-            if b_bits is None:
-                continue
-            if kernels.check_candidate(a_bits, b_bits, n) is not None:
-                return TypeQCode(
-                    n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), None
-                )
-    return None
-
-
-def _first_general(n: int, limit: int | None) -> tuple[bool, TypeQCode | None]:
-    """(space exhausted, first hit) scanning a-candidates in order."""
-    length = 4 * n
-    space = 1 << length
-    stop = space if limit is None else min(limit, space)
-    for lo in range(0, stop, _CHUNK):
-        found = kernels.scan_general(n, lo, min(lo + _CHUNK, stop))
-        if found:
-            a_bits, b_bits = found[0]
-            return stop == space, TypeQCode(
-                n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), None
-            )
-    return stop == space, None
-
-
 def ito_scan(
     n_max: int,
     limit: int | None = None,
@@ -188,26 +139,23 @@ def ito_scan(
 ) -> list[ItoScanRow]:
     """Existence of a type-Q code for each n up to n_max.
 
+    The witness is the first structured hit, else the first general hit.
     A truncated scan that finds nothing reports None (unknown), never
     False: only a completed enumeration can prove nonexistence.
     """
     rows = []
     for n in range(1, n_max + 1):
-        witness = _first_structured(n)
-        if witness is None:
-            complete, witness = _first_general(n, limit)
+        stop = _stop(n, limit)
+        hit = next(((a, b) for _, a, b, _ in _structured(n)), None)
+        if hit is None:
+            hit = next((h for _, found in _general(n, stop) for h in found), None)
+        if hit is None:
+            exists = False if stop == 1 << (4 * n) else None
+            witness = None
         else:
-            complete = True
-        if witness is not None:
-            exists: bool | None = True
-            witness = TypeQCode(
-                witness.n,
-                witness.a_vec,
-                witness.b_vec,
-                _kernel_iota(codeword_ints(witness), n)[1],
-            )
-        else:
-            exists = False if complete else None
+            exists = True
+            words = codeword_ints(_code(n, *hit, None))
+            witness = _code(n, *hit, kernel_iota(words, n)[1])
         rows.append(ItoScanRow(n, exists, witness))
         if progress is not None:
             progress(n, sum(1 for r in rows if r.exists))

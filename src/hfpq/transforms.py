@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import kernel_ints, verify_hfp
+from .analysis import IndexingInconsistency, kernel_iota, kernel_ints, verify_hfp
 from .core import BinaryWord
 from .gf2poly import (
     X_PLUS_1,
@@ -32,30 +32,11 @@ from .typeq import (
 )
 
 
-class IndexingInconsistency(RuntimeError):
-    """Self-check failure while rebuilding a code from matrix data."""
-
-
-def infer_iota(code: TypeQCode) -> int | None:
-    """Exponent of the kernel generator a^iota b, or None when k != 2."""
-    words = codeword_ints(code)
-    kernel = kernel_ints(words)
-    if len(kernel) != 4:
-        return None
-    n4 = 4 * code.n
-    u = (1 << code.length) - 1
-    kappa = next(z for z in kernel if z not in (0, u))
-    idx = words.index(kappa)
-    if idx < n4:
-        raise IndexingInconsistency("kernel generator is a power of a")
-    exp = idx - n4
-    return exp if exp < 2 * code.n else exp - 2 * code.n
-
-
 def with_inferred_iota(code: TypeQCode) -> TypeQCode:
     if code.iota is not None:
         return code
-    return TypeQCode(code.n, code.a_vec, code.b_vec, infer_iota(code))
+    iota = kernel_iota(codeword_ints(code), code.n)[1]
+    return TypeQCode(code.n, code.a_vec, code.b_vec, iota)
 
 
 def _transpose_relabel(word: int, n: int) -> int:

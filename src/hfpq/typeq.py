@@ -20,9 +20,9 @@ from .core import (
     GroupElement,
     GroupTable,
     Perm,
-    all_elements,
     element_index,
     group_mul,
+    type_q_table,
     u_element,
 )
 from .gf2poly import Gf2Poly, mul_by_x, phi1
@@ -238,16 +238,6 @@ def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     return HadamardMatrixQ(n4, rows, idx)
 
 
-def group_table(code: TypeQCode) -> GroupTable:
-    """Multiplication table over the element order of all_elements(n)."""
-    n = code.n
-    elems = list(all_elements(n))
-    mul = tuple(
-        tuple(element_index(group_mul(g, h, n), n) for h in elems) for g in elems
-    )
-    return GroupTable(mul, identity=0)
-
-
 def d1_indices(code: TypeQCode) -> frozenset[int]:
     """Element indices of the codewords with first bit zero."""
     return frozenset(
@@ -264,7 +254,7 @@ def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
 
 def inverse_set(code: TypeQCode, D: Iterable[int]) -> frozenset[int]:
     """Indices of the inverses of an element-index subset."""
-    table = group_table(code)
+    table = type_q_table(code.n)
     return frozenset(table.inv(i) for i in D)
 
 

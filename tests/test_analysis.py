@@ -17,13 +17,12 @@ from hfpq.analysis import (
     verify_hadamard_group,
     verify_hfp,
 )
-from hfpq.core import BinaryWord, GroupTable
+from hfpq.core import BinaryWord, GroupTable, type_q_table
 from hfpq.typeq import (
     TypeQCode,
     all_codewords,
     codeword_set,
     d1_in_coordinate_order,
-    group_table,
     kappa_vector,
 )
 
@@ -135,7 +134,7 @@ def test_verify_hfp_finds_weight_witness():
 
 
 def test_verify_hadamard_group_reference(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     d1 = d1_in_coordinate_order(golden)
     assert verify_hadamard_group(table, d1, 12).ok
     inv = [table.inv(i) for i in d1]
@@ -143,7 +142,7 @@ def test_verify_hadamard_group_reference(golden):
 
 
 def test_verify_hadamard_group_bad_subset(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     verdict = verify_hadamard_group(table, list(range(24)), 12)
     assert not verdict.ok
     assert verdict.failure in (
@@ -155,7 +154,7 @@ def test_verify_hadamard_group_bad_subset(golden):
 
 
 def test_verify_hadamard_group_bad_involution(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     verdict = verify_hadamard_group(table, d1_in_coordinate_order(golden), 1)
     assert not verdict.ok
 
@@ -182,7 +181,7 @@ def test_analyze_reference(golden):
     rep = analyze(golden)
     assert (rep.length, rep.s, rep.n_prime) == (24, 3, 3)
     assert (rep.rank, rep.kernel_dim) == (12, 2)
-    assert rep.is_hfp and rep.is_type_q and not rep.is_linear
+    assert rep.is_hfp and not rep.is_linear
     assert rep.bound_violations == ()
     assert rep.a_in_kernel is False
 
@@ -209,7 +208,6 @@ def test_classify_linear_branch():
         kernel_basis=(),
         is_linear=True,
         is_hfp=True,
-        is_type_q=True,
         bound_violations=(),
     )
     assert classify(rep) == ()

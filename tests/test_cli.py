@@ -71,7 +71,6 @@ def test_analyze_reference_report(golden_path, capsys):
         "kernel_basis=111111111111111111111111;010101010101101010101010",
         "is_linear=false",
         "is_hfp=true",
-        "is_type_q=true",
     ]
 
 
@@ -80,6 +79,21 @@ def test_analyze_corrupt_file_exits_2(tmp_path, capsys):
     path.write_text("HFPQ v1\nn=6\na=11111101101010100100000x\n", encoding="ascii")
     assert main(["analyze", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_analyze_non_ascii_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "accent.code"
+    path.write_bytes(b"HFPQ v1\nn=6\na=1111\xc3\xa91011010101001000000\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "line 3, col 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_search_nonpositive_n_exits_2(n, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", f"--n={n}"])
+    assert info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

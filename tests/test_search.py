@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from hfpq.analysis import analyze, verify_hfp
+from hfpq import kernels
+from hfpq.analysis import analyze, kernel_iota, verify_hfp
 from hfpq.core import (
     BinaryWord,
     GroupElement,
@@ -12,7 +13,14 @@ from hfpq.core import (
     group_mul,
     prop_mul,
 )
-from hfpq.search import ItoScanRow, ito_scan, search_general, search_k2
+from hfpq.search import (
+    ItoScanRow,
+    _general,
+    _structured,
+    ito_scan,
+    search_general,
+    search_k2,
+)
 from hfpq.typeq import TypeQCode, codeword_set
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}
@@ -141,14 +149,6 @@ def test_search_k2_kernel_structure(k2_hits):
         assert basis[1] == kappa_vector(code.iota, code.n)
 
 
-def test_search_results_deterministic_and_partition_invariant():
-    base_k2 = search_k2(4)
-    base_gen = search_general(3)
-    for parts in (2, 5):
-        assert search_k2(4, parts=parts) == base_k2
-        assert search_general(3, parts=parts) == base_gen
-
-
 def test_search_general_limit_cap():
     capped = search_general(3, limit=1 << 10)
     full = search_general(3)
@@ -180,6 +180,43 @@ def test_ito_scan_reference():
         assert row.exists is True
         assert row.witness is not None
         assert verify_hfp(row.witness).ok
+
+
+def test_ito_scan_witnesses_are_first_hits():
+    # the first verified structured candidate (n = 1, 2, 4, 6), else the
+    # general hit of smallest a (n = 3, 5)
+    rows = ito_scan(6)
+    assert [r.witness.a_vec.to_string() for r in rows] == [
+        "1001",
+        "10000111",
+        "110100111000",
+        "1101000001111010",
+        "11110111001010100000",
+        "101001000000011111101101",
+    ]
+    assert [r.witness.iota for r in rows] == [None, None, None, 0, None, 0]
+
+
+def _assert_iota_matches_kernel(words, n):
+    kernel, iota = kernel_iota(words, n)
+    if len(kernel) != 4:
+        assert iota is None
+        return
+    u = (1 << (4 * n)) - 1
+    kappa = next(z for z in kernel if z not in (0, u))
+    assert kappa in (words[4 * n + iota], words[6 * n + iota])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_iota_never_finds_a_power_of_a(n):
+    # exhaustive over raw hits: the kernel generator of every k=2 code is
+    # some a^i b, so kernel_iota's IndexingInconsistency branch is unreached
+    for _, found in _general(n, 1 << (4 * n)):
+        for a_bits, b_bits in found:
+            words = kernels.codeword_table(a_bits, b_bits, n)
+            _assert_iota_matches_kernel(words, n)
+    for _, _, _, words in _structured(n):
+        _assert_iota_matches_kernel(words, n)
 
 
 def test_ito_scan_capped_is_unknown_never_false():

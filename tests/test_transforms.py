@@ -4,20 +4,25 @@ import random
 
 import pytest
 
-from hfpq.analysis import analyze, compute_kernel
+from hfpq.analysis import analyze, compute_kernel, kernel_iota
 from hfpq.core import BinaryWord
 from hfpq.gf2poly import X_PLUS_1, Gf2Poly, poly_mul
 from hfpq.transforms import (
     double_code,
     double_gcd_check,
-    infer_iota,
     doubled_criterion_operand,
     rank_criterion_operand,
     rank_gcd_criterion,
     squared_factorization,
     transpose_code,
 )
-from hfpq.typeq import TypeQCode, all_codewords, codeword_set, kappa_vector
+from hfpq.typeq import (
+    TypeQCode,
+    all_codewords,
+    codeword_ints,
+    codeword_set,
+    kappa_vector,
+)
 
 
 def _kappa1(code: TypeQCode) -> Gf2Poly:
@@ -52,7 +57,8 @@ def test_transpose_kills_kernel_dimension(k2_hits):
 
 
 def test_infer_iota(golden):
-    assert infer_iota(TypeQCode(6, golden.a_vec, golden.b_vec, None)) == 11
+    code = TypeQCode(6, golden.a_vec, golden.b_vec, None)
+    assert kernel_iota(codeword_ints(code), 6)[1] == 11
 
 
 def test_double_reference(golden):
@@ -63,7 +69,7 @@ def test_double_reference(golden):
     assert rep.length == 48
     assert rep.rank == 24
     assert rep.kernel_dim == 2
-    assert rep.is_hfp and rep.is_type_q
+    assert rep.is_hfp
     assert rep.bound_violations == ()
 
 

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from hfpq.core import BinaryWord, GroupElement, apply_perm, canonical_perm, prop_mul
+from hfpq.core import (
+    BinaryWord,
+    GroupElement,
+    apply_perm,
+    canonical_perm,
+    prop_mul,
+    type_q_table,
+)
 from hfpq.gf2poly import Gf2Poly
 from hfpq.typeq import (
     NotHadamardGroup,
@@ -20,7 +27,6 @@ from hfpq.typeq import (
     derive_a2,
     derive_b,
     element_vector,
-    group_table,
     inverse_set,
     kappa_vector,
     make_code,
@@ -191,7 +197,7 @@ def test_transpose_of_matrix_is_hadamard(golden):
 
 
 def test_construct_from_group_round_trip(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     built = construct_from_group(table, d1_in_coordinate_order(golden), 12)
     assert built.words == codeword_set(golden)
     assert built.rows == build_matrix(golden).rows
@@ -200,7 +206,7 @@ def test_construct_from_group_round_trip(golden):
 
 
 def test_construct_from_group_propelinear(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     built = construct_from_group(table, d1_in_coordinate_order(golden), 12)
     order = table.order
     for g in range(order):
@@ -211,21 +217,21 @@ def test_construct_from_group_propelinear(golden):
 
 
 def test_construct_from_group_inverse_set(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     built = construct_from_group(table, inverse_set(golden, d1_indices(golden)), 12)
     assert len(built.words) == 48
 
 
 def test_construct_from_group_identity_outside_d(golden):
     # e not in D: the construction replaces D by u*D
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     d_inv = [table.product(12, d) for d in d1_in_coordinate_order(golden)]
     built = construct_from_group(table, d_inv, 12)
     assert built.words == codeword_set(golden)
 
 
 def test_construct_from_group_rejects_bad_subset(golden):
-    table = group_table(golden)
+    table = type_q_table(golden.n)
     with pytest.raises(NotHadamardGroup):
         construct_from_group(table, list(range(24)), 12)
 
