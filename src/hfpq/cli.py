@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -217,20 +218,42 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Progress:
+    """Search progress on stderr: at most one line per second, then the last.
+
+    raw_hits counts verified hits before deduplication by codeword set.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.printed_at = time.monotonic()
+        self.pending: str | None = None
+
+    def __call__(self, scanned: int, raw_hits: int) -> None:
+        self.pending = f"search n={self.n}: scanned={scanned} raw_hits={raw_hits}"
+        now = time.monotonic()
+        if now - self.printed_at >= 1.0:
+            self.flush()
+            self.printed_at = now
+
+    def flush(self) -> None:
+        if self.pending is not None:
+            print(self.pending, file=sys.stderr)
+            self.pending = None
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     out_dir = Path(args.output) if args.output else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     family = "k2" if args.k2_only else "general"
     for n in args.n:
-        def progress(scanned: int, hits: int) -> None:
-            print(f"search n={n}: scanned={scanned} hits={hits}",
-                  file=sys.stderr)
-
+        progress = _Progress(n)
         if args.k2_only:
             hits = search_k2(n, progress=progress)
         else:
             hits = search_general(n, args.limit, progress=progress)
+        progress.flush()
         for i, code in enumerate(hits):
             text = format_code_file(code)
             if out_dir is None:
@@ -277,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive search for one or more n")
     p.add_argument("--n", type=_positive_int, action="append", required=True)
-    p.add_argument("--k2-only", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--k2-only", action="store_true")
+    family.add_argument("--limit", type=_positive_int, default=None,
+                        help="scan only the first LIMIT generator words")
     p.add_argument("-o", "--output", default=None,
                    help="directory for one code file per hit")
     p.set_defaults(func=cmd_search)

@@ -25,7 +25,11 @@ BACKEND = (
 
 _COMPILED_MAX_N = 16
 
+# pure-Python in every backend
 codeword_table = kernels_py.codeword_table
+power_words = kernels_py.power_words
+coset_words = kernels_py.coset_words
+derive_a2_bits = kernels_py.derive_a2_bits
 
 
 def _impl(n: int):

@@ -5,7 +5,16 @@ order 8n under the propelinear product with the canonical permutations
 (per-half rotation for a, full reversal for b); the table lists the word
 of a^i at index i and of a^i b at index 4n+i.
 
-The compiled twin in _fastscan.pyx must match these functions bit for bit.
+Lemma (parity of a^(2n)): per half h, a^k = sum_{j<k} x^j a_h in
+GF(2)[x]/(x^(2n)-1), and sum_{j<2n} x^j = u_h, so a^(2n) = wt(a_h) u_h.
+Hence a^(2n) = u iff both halves have odd weight; for wt(a) = 2n that is
+wt(a1) odd.  scan_general enumerates only those words and runs the a-only
+power_words before deriving b; check_candidate is power_words followed by
+coset_words.
+
+The compiled twin in _fastscan.pyx must match these functions bit for bit
+on every result (check_candidate, derive_b_bits and the hits of
+scan_general), although it still scans every word of the window.
 """
 
 from __future__ import annotations
@@ -40,21 +49,21 @@ def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
-    """codeword_table(a, b, n) if (a, b) yields a type-Q HFP code, else None.
+def power_words(a: int, n: int) -> list[int] | None:
+    """The a-only half of check_candidate: words of a^0..a^(4n-1), or None.
 
-    Accepts iff a has order 4n with a^{2n} = u, b^2 = u, b a = a^{-1} b as
-    words, all 8n words are distinct, and every word outside {e, u} has
-    weight 2n (which makes the code Hadamard).
+    Accepts iff a has weight 2n, a^(2n) = u and every other power a^i
+    (0 < i < 4n) has weight 2n.  The result has length 8n; indices 4n and
+    up are left for coset_words to fill.
     """
     half = 2 * n
     length = 4 * n
     mask = (1 << half) - 1
     shift = half - 1
     u = (1 << length) - 1
-    if a.bit_count() != half or b.bit_count() != half:
+    if a.bit_count() != half:
         return None
-    words = [0] * (2 * length)
+    words = [0]
     v = 0
     for i in range(1, length):
         lo = v & mask
@@ -68,7 +77,25 @@ def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
                 return None
         elif v.bit_count() != half:
             return None
-        words[i] = v
+        words.append(v)
+    words += [0] * length
+    return words
+
+
+def coset_words(words: list[int], a: int, b: int, n: int) -> tuple[int, ...] | None:
+    """The b half of check_candidate, given power_words(a, n): the full table or None.
+
+    Accepts iff b has weight 2n, b^2 = u, b a = a^{-1} b as words, every
+    word a^i b has weight 2n and all 8n words are distinct.  Fills
+    words[4n:] in place.
+    """
+    half = 2 * n
+    length = 4 * n
+    mask = (1 << half) - 1
+    shift = half - 1
+    u = (1 << length) - 1
+    if b.bit_count() != half:
+        return None
     if b ^ reverse_bits(b, length) != u:
         return None
     # b * a must equal a^{4n-1} * b; pi_a^{4n-1} rotates each half right by 1.
@@ -93,6 +120,20 @@ def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
     if len(set(words)) != 2 * length:
         return None
     return tuple(words)
+
+
+def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
+    """codeword_table(a, b, n) if (a, b) yields a type-Q HFP code, else None.
+
+    Accepts iff a has order 4n with a^{2n} = u, b^2 = u, b a = a^{-1} b as
+    words, all 8n words are distinct, and every word outside {e, u} has
+    weight 2n (which makes the code Hadamard).  The a-only conditions are
+    power_words, the rest coset_words.
+    """
+    words = power_words(a, n)
+    if words is None:
+        return None
+    return coset_words(words, a, b, n)
 
 
 def derive_b_bits(a: int, n: int) -> int | None:
@@ -121,16 +162,58 @@ def derive_b_bits(a: int, n: int) -> int | None:
     return q1 | (q2 << half)
 
 
-def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """(a, b) pairs with a in [start, stop) passing check_candidate."""
+def derive_a2_bits(a1: int, iota: int, n: int) -> int:
+    """Second half from the first: a2(x) = x^(iota+1) phi1(a1(x)) + u(x)."""
     half = 2 * n
+    mask = (1 << half) - 1
+    r = reverse_bits(a1, half)
+    k = (iota + 1) % half
+    return (((r << k) | (r >> (half - k))) & mask) ^ mask
+
+
+def first_of_weight(lo: int, w: int) -> int:
+    """The smallest x >= lo with exactly w one bits (lo >= 0, w >= 1)."""
+    x = lo
+    while x.bit_count() > w:
+        # every x' in (x, x + lowbit(x)) keeps all bits of x
+        x += x & -x
+    for _ in range(w - x.bit_count()):
+        x |= x + 1  # set the lowest zero bit
+    return x
+
+
+def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """(a, b) pairs with a in [start, stop) passing check_candidate, a increasing.
+
+    Visits only the words with wt(a1) odd and wt(a2) = 2n - wt(a1), row by
+    row over a2 and, inside a row, through a1 of one weight by Gosper's
+    successor.  Every other word fails check_candidate: by weight, or by
+    a^(2n) = u (module docstring).  The b word is derived only for the
+    words whose powers pass.
+    """
+    half = 2 * n
+    full = 1 << half
+    # no word outside [0, 2^(4n)) passes check_candidate
+    start = max(start, 0)
+    stop = min(stop, 1 << (2 * half))
     hits = []
-    for a in range(start, stop):
-        if a.bit_count() != half:
+    if start >= stop:
+        return hits
+    for a2 in range(start >> half, ((stop - 1) >> half) + 1):
+        w2 = a2.bit_count()
+        if not w2 & 1:
             continue
-        b = derive_b_bits(a, n)
-        if b is None:
-            continue
-        if check_candidate(a, b, n) is not None:
-            hits.append((a, b))
+        base = a2 << half
+        end = min(stop - base, full)
+        a1 = first_of_weight(max(start - base, 0), half - w2)
+        while a1 < end:
+            a = base | a1
+            words = power_words(a, n)
+            if words is not None:
+                b = derive_b_bits(a, n)
+                if b is not None and coset_words(words, a, b, n) is not None:
+                    hits.append((a, b))
+            low = a1 & -a1
+            ripple = a1 + low
+            a1 = (((ripple ^ a1) >> 2) // low) | ripple
     return hits

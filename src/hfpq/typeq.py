@@ -25,7 +25,7 @@ from .core import (
     type_q_table,
     u_element,
 )
-from .gf2poly import Gf2Poly, mul_by_x, phi1
+from .gf2poly import Gf2Poly
 
 
 class NotTypeQCandidate(ValueError):
@@ -96,7 +96,7 @@ def derive_a2(a1: Gf2Poly, iota: int, n: int) -> Gf2Poly:
         raise ValueError(f"expected modulus degree {2 * n}")
     if not 0 <= iota < 2 * n:
         raise ValueError(f"iota {iota} out of range [0, {2 * n})")
-    return mul_by_x(phi1(a1), iota + 1) ^ Gf2Poly.all_ones(2 * n)
+    return Gf2Poly(kernels.derive_a2_bits(a1.coeffs, iota, n), 2 * n)
 
 
 def kappa_vector(iota: int, n: int) -> BinaryWord:

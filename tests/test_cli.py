@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from hfpq import cli
 from hfpq.cli import (
     CodeFileError,
     code_from_file,
@@ -94,6 +97,52 @@ def test_search_nonpositive_n_exits_2(n, capsys):
         main(["search", f"--n={n}"])
     assert info.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_search_nonpositive_limit_exits_2(limit, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--n", "2", f"--limit={limit}"])
+    assert info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_search_k2_only_with_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--n", "2", "--k2-only", "--limit", "5"])
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def _fake_clock(monkeypatch, step):
+    ticks = iter(step * i for i in range(10**6))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+
+
+def test_search_progress_throttled_by_time(monkeypatch, capsys):
+    # 16 chunks at n=4, 0.4 s apart: a line every third chunk, then the last
+    _fake_clock(monkeypatch, 0.4)
+    assert main(["search", "--n", "4"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [int(line.split("scanned=")[1].split()[0]) for line in lines] == [
+        3 * 4096, 6 * 4096, 9 * 4096, 12 * 4096, 15 * 4096, 16 * 4096,
+    ]
+    assert lines[-1] == "search n=4: scanned=65536 raw_hits=1024"
+    assert captured.out.splitlines()[-1] == "n=4 family=general hits=384"
+
+
+def test_search_progress_final_line_only_when_fast(monkeypatch, capsys):
+    _fake_clock(monkeypatch, 0.0)
+    assert main(["search", "--n", "4"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "search n=4: scanned=65536 raw_hits=1024",
+    ]
+    assert main(["search", "--n", "3", "--n", "4", "--k2-only"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "search n=3: scanned=192 raw_hits=0",
+        "search n=4: scanned=1024 raw_hits=512",
+    ]
 
 
 def test_analyze_missing_file_exits_2(tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hfpq import kernels, kernels_py
+from hfpq.bitops import rot_halves
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
 
 compiled = pytest.mark.skipif(
@@ -110,3 +111,89 @@ def test_compiled_rejects_oversized_n():
 def test_backend_dispatch_large_n_uses_pure():
     # n beyond the 64-bit kernel must route to the pure twin
     assert kernels._impl(17) is kernels_py
+
+
+def _brute_scan(n, start, stop):
+    """Reference scan: every a, weight check, derive_b_bits, check_candidate."""
+    hits = []
+    for a in range(start, stop):
+        if a.bit_count() != 2 * n:
+            continue
+        b = kernels_py.derive_b_bits(a, n)
+        if b is not None and kernels_py.check_candidate(a, b, n) is not None:
+            hits.append((a, b))
+    return hits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parity_lemma_power_2n(n):
+    # a^(2n) = wt(a1) u1 + wt(a2) u2 for every word a, by direct iteration
+    half = 2 * n
+    mask = (1 << half) - 1
+    for a in range(1 << (4 * n)):
+        v = 0
+        for _ in range(half):
+            v = a ^ rot_halves(v, half)
+        expect = (mask if (a & mask).bit_count() & 1 else 0) | (
+            (mask << half) if (a >> half).bit_count() & 1 else 0
+        )
+        assert v == expect
+
+
+def test_first_of_weight_exhaustive():
+    for w in range(1, 9):
+        of_weight = [x for x in range(1 << 9) if x.bit_count() == w]
+        for lo in range(1 << 8):
+            assert kernels_py.first_of_weight(lo, w) == min(
+                x for x in of_weight if x >= lo
+            )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_general_matches_brute_force(n):
+    space = 1 << (4 * n)
+    row = 1 << (2 * n)
+    assert kernels_py.scan_general(n, 0, space) == _brute_scan(n, 0, space)
+    rng = random.Random(100 + n)
+    for _ in range(60):
+        # windows of up to three rows, starting and stopping mid-row
+        start = rng.randrange(space)
+        stop = min(space, start + rng.randrange(3 * row + 1))
+        assert kernels_py.scan_general(n, start, stop) == _brute_scan(n, start, stop)
+    for a2 in (1, row - 2):
+        lo, hi = a2 * row + 3, a2 * row + row - 5
+        assert kernels_py.scan_general(n, lo, hi) == _brute_scan(n, lo, hi)
+    assert kernels_py.scan_general(n, 5, 5) == []
+
+
+def test_scan_general_matches_brute_force_n5_window():
+    # from mid-row (a2 = 522, weight 3) across a hit at a = 534767 and on
+    # through the next four rows
+    start = (522 << 10) + 100
+    stop = start + 5000
+    hits = kernels_py.scan_general(5, start, stop)
+    assert hits == _brute_scan(5, start, stop)
+    assert hits
+
+
+def test_scan_general_n16_window_bounded_memory():
+    import tracemalloc
+
+    a2 = (1 << 17) - 1  # odd weight: the row holds words of weight 32
+    start = (a2 << 32) | 0x5555_4000
+    tracemalloc.start()
+    try:
+        hits = kernels_py.scan_general(16, start, start + 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert hits == _brute_scan(16, start, start + 4096)
+
+
+def test_check_candidate_is_power_then_coset_words(golden):
+    a, b = golden.a_vec.bits, golden.b_vec.bits
+    words = kernels_py.power_words(a, 6)
+    assert words[:24] == list(kernels_py.codeword_table(a, b, 6)[:24])
+    assert kernels_py.coset_words(words, a, b, 6) == kernels_py.check_candidate(a, b, 6)
+    assert kernels_py.power_words(a ^ 1, 6) is None

@@ -13,9 +13,11 @@ from hfpq.core import (
     group_mul,
     prop_mul,
 )
+from hfpq.gf2poly import Gf2Poly, mul_by_x, phi1
 from hfpq.search import (
     ItoScanRow,
     _general,
+    _stop,
     _structured,
     ito_scan,
     search_general,
@@ -232,3 +234,33 @@ def test_progress_callback_invoked():
     search_general(2, progress=lambda scanned, hits: calls.append((scanned, hits)))
     assert calls
     assert calls[-1][0] == 1 << 8
+
+
+def _structured_b_first(n):
+    """The structured loop in its b-first order, a2 through Gf2Poly."""
+    half = 2 * n
+    for iota in range(half):
+        for a1 in range(1 << half):
+            if a1.bit_count() % 2 == 0:
+                continue
+            a2 = mul_by_x(phi1(Gf2Poly(a1, half)), iota + 1) ^ Gf2Poly.all_ones(half)
+            a_bits = a1 | (a2.coeffs << half)
+            b_bits = kernels.derive_b_bits(a_bits, n)
+            if b_bits is None:
+                continue
+            words = kernels.check_candidate(a_bits, b_bits, n)
+            if words is not None:
+                yield iota, a_bits, b_bits, words
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structured_a_first_matches_b_first(n):
+    assert list(_structured(n)) == list(_structured_b_first(n))
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_nonpositive_limit_rejected(limit):
+    with pytest.raises(ValueError):
+        _stop(2, limit)
+    with pytest.raises(ValueError):
+        search_general(2, limit)
