@@ -9,7 +9,8 @@ Code file format (ASCII, newline-terminated, bit position 1 leftmost):
     iota=11
 
 b and iota are optional; b is re-derived and cross-checked when present.
-Exit codes: 0 success, 1 mathematical verification failure, 2 parse error.
+Exit codes: 0 success, 1 mathematical verification failure, 2 parse error,
+3 theorem bound violated by an analysis (an implementation bug).
 """
 
 from __future__ import annotations
@@ -182,10 +183,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for line in report_lines(report):
         print(line)
     if report.bound_violations:
-        raise AssertionError(
-            "theorem bound violated (implementation bug): "
-            + "; ".join(report.bound_violations)
+        print(
+            "error: theorem bound violated (implementation bug): "
+            + "; ".join(report.bound_violations),
+            file=sys.stderr,
         )
+        return 3
     return 0 if report.is_hfp else 1
 
 

@@ -11,10 +11,6 @@ Hence a^(2n) = u iff both halves have odd weight; for wt(a) = 2n that is
 wt(a1) odd.  scan_general enumerates only those words and runs the a-only
 power_words before deriving b; check_candidate is power_words followed by
 coset_words.
-
-The compiled twin in _fastscan.pyx must match these functions bit for bit
-on every result (check_candidate, derive_b_bits and the hits of
-scan_general), although it still scans every word of the window.
 """
 
 from __future__ import annotations
@@ -137,10 +133,16 @@ def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
 
 
 def derive_b_bits(a: int, n: int) -> int | None:
-    """The b word determined by a, first bit 0, or None when none exists.
+    """The b word determined by a, first bit 0; None exactly when wt(a) is odd.
 
     Solves (x+1) b_i = a_i + x * rev(a_{i'}) per half and fixes the pairing
     of half-quotients by b^2 = u; the other valid b is the complement.
+
+    With phi(p)(x) = p(x^-1) we have x * rev(p) = phi(p), so d1 = a1 +
+    phi(a2) and d2 = phi(d1).  The division by x+1 is exact iff wt(d1) is
+    even, and wt(d1) = wt(a) mod 2.  Applying phi to (x+1) q1 = d1 shows
+    that x^-1 phi(q1) = rev(q1) solves (x+1) q = d2, whose solutions are
+    q2 and q2 + u; so rev(q2) is q1 or q1 + u and a pairing always exists.
     """
     half = 2 * n
     mask = (1 << half) - 1
@@ -154,11 +156,8 @@ def derive_b_bits(a: int, n: int) -> int | None:
     d2 = a2 ^ (((r1 << 1) | (r1 >> (half - 1))) & mask)
     q1 = div_x_plus_1(d1, half)
     q2 = div_x_plus_1(d2, half)
-    t = q1 ^ reverse_bits(q2, half)
-    if t == 0:
+    if q1 == reverse_bits(q2, half):
         q2 ^= mask
-    elif t != mask:
-        return None
     return q1 | (q2 << half)
 
 
@@ -210,8 +209,9 @@ def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
             a = base | a1
             words = power_words(a, n)
             if words is not None:
+                # wt(a) = 2n, so derive_b_bits never returns None here
                 b = derive_b_bits(a, n)
-                if b is not None and coset_words(words, a, b, n) is not None:
+                if coset_words(words, a, b, n) is not None:
                     hits.append((a, b))
             low = a1 & -a1
             ripple = a1 + low

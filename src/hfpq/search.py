@@ -72,10 +72,11 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     """Verified (iota, a, b, words) of the structured family.
 
     a2 = x^(iota+1) phi1(a1) + u has weight 2n - wt(a1), so every
-    candidate has weight 2n.  Per half, a^(2n) = sum_{j<2n} x^j a_h =
-    wt(a_h) u_h, so a^(2n) = u exactly when both halves are odd, which
-    for wt(a) = 2n means wt(a1) odd: the even a1 are skipped, and the
-    power loop (power_words) runs before b is derived.
+    candidate has weight 2n and derive_b_bits always finds b.  Per half,
+    a^(2n) = sum_{j<2n} x^j a_h = wt(a_h) u_h, so a^(2n) = u exactly when
+    both halves are odd, which for wt(a) = 2n means wt(a1) odd: the even
+    a1 are skipped, and the power loop (power_words) runs before b is
+    derived.
     """
     half = 2 * n
     for iota in range(half):
@@ -87,8 +88,6 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
             if words is None:
                 continue
             b_bits = kernels.derive_b_bits(a_bits, n)
-            if b_bits is None:
-                continue
             table = kernels.coset_words(words, a_bits, b_bits, n)
             if table is not None:
                 yield iota, a_bits, b_bits, table

@@ -85,7 +85,7 @@ def derive_b(a_vec: BinaryWord, n: int) -> BinaryWord:
     bits = kernels.derive_b_bits(a_vec.bits, n)
     if bits is None:
         raise NotTypeQCandidate(
-            "division by x+1 is not exact or the half-quotients cannot be paired"
+            "a has odd weight, so division by x+1 is not exact"
         )
     return BinaryWord(bits, 4 * n)
 

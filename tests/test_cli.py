@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hfpq import cli
 from hfpq.cli import (
@@ -164,6 +169,18 @@ def test_analyze_non_code_exits_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+def test_analyze_bound_violation_exits_3(golden_path, monkeypatch, capsys):
+    real = cli.analyze
+
+    def violating(code):
+        return dataclasses.replace(real(code), bound_violations=("rank <= 1",))
+
+    monkeypatch.setattr(cli, "analyze", violating)
+    assert main(["analyze", golden_path]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: theorem bound violated (implementation bug): rank <= 1\n"
+
+
 def test_transpose_command(golden_path, tmp_path, capsys):
     out = tmp_path / "t.code"
     assert main(["transpose", golden_path, "-o", str(out)]) == 0
@@ -235,3 +252,77 @@ def test_search_stdout_code_files_parse(capsys):
     assert len(blocks) == 128
     for block in blocks[:4]:
         parse_code_file(block + "\n")
+
+
+# (a, b) of real codes (n = 1, 2, 3 and a k2 code with iota 7 at n = 4),
+# so that most fuzzed files get past derive_b and into the transforms
+_REAL = (
+    ("0101", "0011"),
+    ("00010111", "01001101"),
+    ("000111001011", "010110100101"),
+    ("0000101100101111", "0101111010000101"),
+)
+_JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+def _flip(draw, word: str) -> str:
+    i = draw(st.integers(0, len(word) - 1))
+    return word[:i] + "10"[int(word[i])] + word[i + 1:]
+
+
+@st.composite
+def _code_files(draw):
+    """Real code files with faults: each part may be broken, moved or lost."""
+
+    def fault() -> bool:
+        return draw(st.integers(0, 7)) == 7
+
+    a, b = draw(st.sampled_from(_REAL))
+    n = len(a) // 4
+    if fault():
+        a = draw(st.text("01", max_size=17))
+    elif fault():
+        a = _flip(draw, a)
+    lines = [f"n={draw(st.integers(-1, 5)) if fault() else n}", f"a={a}"]
+    if draw(st.booleans()):
+        if fault():
+            b = draw(st.text("01", max_size=17))
+        elif fault():
+            b = _flip(draw, b)
+        elif draw(st.booleans()):
+            b = "".join("10"[int(c)] for c in b)
+        lines.append(f"b={b}")
+    if draw(st.booleans()):
+        # both ends are one past the range [0, 2n)
+        lines.append(f"iota={draw(st.integers(-1, 2 * n))}")
+    lines = draw(st.permutations(lines))
+    if fault():
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if fault():
+        lines.append(draw(st.sampled_from(lines)))
+    if fault():
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK))
+    if not fault():
+        lines.insert(0, cli.HEADER)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_code_files())
+def test_fuzz_code_files(text, tmp_path):
+    try:
+        parse_code_file(text)
+    except CodeFileError:
+        pass
+    path = tmp_path / "fuzz.code"
+    path.write_text(text, encoding="ascii")
+    for command in ("analyze", "transpose", "double"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            assert main([command, str(path)]) in (0, 1, 2)

@@ -4,13 +4,9 @@ import random
 
 import pytest
 
-from hfpq import kernels, kernels_py
-from hfpq.bitops import rot_halves
+from hfpq import kernels_py
+from hfpq.bitops import reverse_bits, rot_halves
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
-
-compiled = pytest.mark.skipif(
-    not kernels.HAVE_COMPILED, reason="compiled extension not built"
-)
 
 
 def test_codeword_table_matches_perm_objects(golden):
@@ -42,75 +38,30 @@ def test_derive_b_bits_matches_reference(golden):
     assert kernels_py.derive_b_bits(golden.a_vec.bits, 6) == golden.b_vec.bits
 
 
-@compiled
-def test_compiled_matches_pure_on_reference(golden):
-    a, b = golden.a_vec.bits, golden.b_vec.bits
-    assert kernels._fastscan.check_candidate(a, b, 6) == kernels_py.check_candidate(
-        a, b, 6
-    )
-    assert kernels._fastscan.derive_b_bits(a, 6) == kernels_py.derive_b_bits(a, 6)
-
-
-@compiled
-def test_compiled_matches_pure_random():
-    rng = random.Random(1234)
-    for _ in range(3000):
-        n = rng.choice((1, 2, 3, 4))
-        length = 4 * n
-        a = rng.randrange(1 << length)
-        assert kernels._fastscan.derive_b_bits(a, n) == kernels_py.derive_b_bits(a, n)
-        b = rng.randrange(1 << length)
-        assert kernels._fastscan.check_candidate(a, b, n) == kernels_py.check_candidate(
-            a, b, n
-        )
-
-
-@compiled
-def test_compiled_matches_pure_scan():
-    for n in (1, 2, 3):
-        stop = 1 << (4 * n)
-        assert kernels._fastscan.scan_general(n, 0, stop) == kernels_py.scan_general(
-            n, 0, stop
-        )
-
-
-@compiled
-def test_compiled_matches_pure_at_word_size_boundary():
-    # n = 16 uses the full 64 bits of the compiled word type
-    rng = random.Random(64)
-    for _ in range(300):
-        a = rng.randrange(1 << 64)
-        assert kernels._fastscan.derive_b_bits(a, 16) == kernels_py.derive_b_bits(
-            a, 16
-        )
-        b = rng.randrange(1 << 64)
-        assert kernels._fastscan.check_candidate(a, b, 16) == (
-            kernels_py.check_candidate(a, b, 16)
-        )
-
-
-@compiled
-def test_compiled_accepts_valid_64bit_code():
+def test_check_candidate_accepts_valid_64bit_code():
     from hfpq.search import search_k2
     from hfpq.transforms import double_code
 
     code = double_code(double_code(search_k2(4)[0]))
     assert code.length == 64
     a, b = code.a_vec.bits, code.b_vec.bits
-    words = kernels._fastscan.check_candidate(a, b, 16)
+    words = kernels_py.check_candidate(a, b, 16)
     assert words is not None
-    assert words == kernels_py.check_candidate(a, b, 16)
+    assert words == kernels_py.codeword_table(a, b, 16)
 
 
-@compiled
-def test_compiled_rejects_oversized_n():
-    with pytest.raises(ValueError):
-        kernels._fastscan.check_candidate(0, 0, 17)
-
-
-def test_backend_dispatch_large_n_uses_pure():
-    # n beyond the 64-bit kernel must route to the pure twin
-    assert kernels._impl(17) is kernels_py
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derive_b_bits_exists_iff_even_weight(n):
+    # every a: None exactly for odd weight, otherwise b^2 = u as words
+    length = 4 * n
+    u = (1 << length) - 1
+    for a in range(1 << length):
+        b = kernels_py.derive_b_bits(a, n)
+        if a.bit_count() & 1:
+            assert b is None
+        else:
+            assert b is not None
+            assert b ^ reverse_bits(b, length) == u
 
 
 def _brute_scan(n, start, stop):
