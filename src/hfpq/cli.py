@@ -8,7 +8,8 @@ Code file format (ASCII, newline-terminated, bit position 1 leftmost):
     b=010101110000111100010101
     iota=11
 
-b and iota are optional; b is re-derived and cross-checked when present.
+b and iota are optional; b is re-derived and cross-checked when present,
+and iota is cross-checked against the exponent read off the code's kernel.
 Exit codes: 0 success, 1 mathematical verification failure, 2 parse error,
 3 theorem bound violated by an analysis (an implementation bug).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import AnalysisReport, IndexingInconsistency, analyze
+from .analysis import AnalysisReport, IndexingInconsistency, analyze, kernel_iota
 from .core import BinaryWord
 from .search import search_general, search_k2
 from .transforms import double_code, transpose_code
@@ -32,6 +33,7 @@ from .typeq import (
     TypeQCode,
     VerificationError,
     build_matrix,
+    codeword_ints,
     derive_b,
 )
 
@@ -124,11 +126,18 @@ def format_code_file(code: TypeQCode) -> str:
 
 
 def code_from_file(cf: CodeFile) -> TypeQCode:
-    """Build the code, deriving b and cross-checking a supplied b."""
+    """Build the code, deriving b and cross-checking a supplied b and iota."""
     derived = derive_b(cf.a, cf.n)
     if cf.b is not None and cf.b not in (derived, derived.complement()):
         raise VerificationError("b does not match the derivation from a")
-    return TypeQCode(cf.n, cf.a, cf.b if cf.b is not None else derived, cf.iota)
+    code = TypeQCode(cf.n, cf.a, cf.b if cf.b is not None else derived, cf.iota)
+    if cf.iota is not None:
+        iota = kernel_iota(codeword_ints(code), cf.n)[1]
+        if iota != cf.iota:
+            raise VerificationError(
+                f"iota={cf.iota} given, but the kernel gives iota={iota}"
+            )
+    return code
 
 
 def load_code(path: str) -> TypeQCode:

@@ -39,13 +39,6 @@ class BinaryWord:
         return cls((1 << length) - 1, length)
 
     @classmethod
-    def unit(cls, i: int, length: int) -> "BinaryWord":
-        """The word e_i with a single one at position i (1-based)."""
-        if not 1 <= i <= length:
-            raise ValueError(f"position {i} out of range 1..{length}")
-        return cls(1 << (i - 1), length)
-
-    @classmethod
     def from_string(cls, s: str) -> "BinaryWord":
         """Parse a 0/1 string; leftmost character is position 1."""
         if not s or any(c not in "01" for c in s):
@@ -62,11 +55,6 @@ class BinaryWord:
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    @property
-    def first_bit(self) -> int:
-        """Value of position 1."""
-        return self.bits & 1
 
     def bit(self, i: int) -> int:
         """Value of position i (1-based)."""
@@ -89,10 +77,6 @@ class BinaryWord:
         self._check_same_length(other)
         return BinaryWord(self.bits ^ other.bits, self.length)
 
-    def distance(self, other: "BinaryWord") -> int:
-        self._check_same_length(other)
-        return (self.bits ^ other.bits).bit_count()
-
 
 @dataclass(frozen=True)
 class Perm:
@@ -109,10 +93,6 @@ class Perm:
         return cls(tuple(range(length)))
 
     @classmethod
-    def from_one_based(cls, images: Iterable[int]) -> "Perm":
-        return cls(tuple(i - 1 for i in images))
-
-    @classmethod
     def from_cycles(cls, length: int, cycles: Iterable[Iterable[int]]) -> "Perm":
         """Build from disjoint cycles in 1-based notation."""
         images = list(range(length))
@@ -121,9 +101,6 @@ class Perm:
             for i, c in enumerate(cyc):
                 images[c] = cyc[(i + 1) % len(cyc)]
         return cls(tuple(images))
-
-    def one_based(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in self.images)
 
     def __len__(self) -> int:
         return len(self.images)
@@ -228,15 +205,6 @@ def group_pow(g: GroupElement, k: int, n: int) -> GroupElement:
     for _ in range(k):
         out = group_mul(out, g, n)
     return out
-
-
-def element_order(g: GroupElement, n: int) -> int:
-    k = 1
-    h = g
-    while h != IDENTITY:
-        h = group_mul(h, g, n)
-        k += 1
-    return k
 
 
 def all_elements(n: int) -> Iterator[GroupElement]:

@@ -54,17 +54,6 @@ def poly_gcd(p: int, q: int) -> int:
     return p
 
 
-def poly_to_str(p: int) -> str:
-    """Human-readable form, highest power first, e.g. 'x^3+x+1'."""
-    if p == 0:
-        return "0"
-    terms = []
-    for i in range(p.bit_length() - 1, -1, -1):
-        if (p >> i) & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return "+".join(terms)
-
-
 def modulus_poly(m: int) -> int:
     """The plain polynomial x^m + 1."""
     return (1 << m) | 1
@@ -98,10 +87,6 @@ class Gf2Poly:
     def all_ones(cls, m: int) -> "Gf2Poly":
         """The polynomial u(x) with every coefficient 1."""
         return cls((1 << m) - 1, m)
-
-    @classmethod
-    def x_power(cls, k: int, m: int) -> "Gf2Poly":
-        return cls(1 << (k % m), m)
 
     @classmethod
     def from_string(cls, s: str) -> "Gf2Poly":

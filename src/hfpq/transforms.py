@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import IndexingInconsistency, kernel_iota, kernel_ints, verify_hfp
+from .analysis import IndexingInconsistency, kernel_iota, verify_hfp
 from .core import BinaryWord
 from .gf2poly import (
     X_PLUS_1,
@@ -30,13 +30,6 @@ from .typeq import (
     derive_b,
     kappa_vector,
 )
-
-
-def with_inferred_iota(code: TypeQCode) -> TypeQCode:
-    if code.iota is not None:
-        return code
-    iota = kernel_iota(codeword_ints(code), code.n)[1]
-    return TypeQCode(code.n, code.a_vec, code.b_vec, iota)
 
 
 def _transpose_relabel(word: int, n: int) -> int:
@@ -82,7 +75,7 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
     expected = frozenset(cols) | frozenset(c ^ u for c in cols)
     if codeword_set(out) != expected:
         raise IndexingInconsistency("transpose codeword set mismatch")
-    return with_inferred_iota(out)
+    return TypeQCode(n, new_a, new_b, kernel_iota(codeword_ints(out), n)[1])
 
 
 def doubled_generator_half(a_i: Gf2Poly, kappa_i: Gf2Poly) -> Gf2Poly:
@@ -91,22 +84,23 @@ def doubled_generator_half(a_i: Gf2Poly, kappa_i: Gf2Poly) -> Gf2Poly:
 
 
 def double_code(code: TypeQCode) -> TypeQCode:
-    """Length-8n code from a verified k=2 code with known iota.
+    """Length-8n code from a verified k=2 code.
 
-    The new kernel generator is A^(2 iota) B (exact computation; exhaustive
-    over all small k=2 codes), whose representative is the alternating
-    pattern of length 8n; maximum rank 2n doubles to 4n.
+    iota is read off the kernel; a given code.iota must equal it.  The new
+    kernel generator is A^(2 iota) B (exact computation; exhaustive over
+    all small k=2 codes), whose representative is the alternating pattern
+    of length 8n; maximum rank 2n doubles to 4n.
     """
-    code = with_inferred_iota(code)
-    if code.iota is None:
-        raise ValueError("doubling requires a kernel of dimension 2")
     n = code.n
     half = 2 * n
-    kappa = kappa_vector(code.iota, n)
-    words = codeword_ints(code)
-    kernel = kernel_ints(words)
-    if len(kernel) != 4 or kappa.bits not in kernel:
-        raise ValueError("iota does not match the computed kernel")
+    kernel, iota = kernel_iota(codeword_ints(code), n)
+    if iota is None:
+        raise ValueError("doubling requires a kernel of dimension 2")
+    if code.iota is not None and code.iota != iota:
+        raise ValueError(f"iota {code.iota} does not match the kernel ({iota})")
+    kappa = kappa_vector(iota, n)
+    if kappa.bits not in kernel:
+        raise ValueError("kernel generator is not the kappa_vector pattern")
     mask = (1 << half) - 1
     a1 = Gf2Poly(code.a_vec.bits & mask, half)
     a2 = Gf2Poly(code.a_vec.bits >> half, half)
@@ -116,13 +110,12 @@ def double_code(code: TypeQCode) -> TypeQCode:
     big_a2 = doubled_generator_half(a2, k2)
     new_a = BinaryWord(big_a1.coeffs | (big_a2.coeffs << (2 * half)), 8 * n)
     new_b = derive_b(new_a, half)
-    out = TypeQCode(half, new_a, new_b, iota=2 * code.iota)
+    out = TypeQCode(half, new_a, new_b, iota=2 * iota)
     verdict = verify_hfp(out)
     if not verdict.ok:
         raise IndexingInconsistency(f"doubled code failed: {verdict.failure}")
-    new_kernel = kernel_ints(codeword_ints(out))
-    if len(new_kernel) != 4 or kappa_vector(out.iota, half).bits not in new_kernel:
-        raise IndexingInconsistency("doubled kernel has unexpected structure")
+    if kernel_iota(codeword_ints(out), half)[1] != 2 * iota:
+        raise IndexingInconsistency("doubled kernel exponent is not 2 iota")
     return out
 
 

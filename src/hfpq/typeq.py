@@ -22,7 +22,6 @@ from .core import (
     Perm,
     element_index,
     group_mul,
-    type_q_table,
     u_element,
 )
 from .gf2poly import Gf2Poly
@@ -138,14 +137,6 @@ def element_vector(g: GroupElement, code: TypeQCode) -> BinaryWord:
     return BinaryWord(words[element_index(g, code.n)], code.length)
 
 
-def element_of_word(code: TypeQCode, bits: int) -> GroupElement:
-    """Inverse of element_vector on the codeword set."""
-    words = codeword_ints(code)
-    idx = words.index(bits)
-    n4 = 4 * code.n
-    return GroupElement(idx % n4, idx >= n4)
-
-
 def gamma(code: TypeQCode, g: GroupElement) -> int:
     """First coordinate of the word of g (0 iff g lies in D1)."""
     return codeword_ints(code)[element_index(g, code.n)] & 1
@@ -197,10 +188,6 @@ class HadamardMatrixQ:
     def row_words(self) -> tuple[BinaryWord, ...]:
         return tuple(BinaryWord(r, self.order) for r in self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 0-based (row i, column j)."""
-        return (self.rows[i] >> j) & 1
-
     def column(self, j: int) -> int:
         out = 0
         for i, row in enumerate(self.rows):
@@ -238,24 +225,11 @@ def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     return HadamardMatrixQ(n4, rows, idx)
 
 
-def d1_indices(code: TypeQCode) -> frozenset[int]:
-    """Element indices of the codewords with first bit zero."""
-    return frozenset(
-        i for i, w in enumerate(codeword_ints(code)) if (w & 1) == 0
-    )
-
-
 def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
     """Element indices of D1 in coordinate order (for exact round trips)."""
     return tuple(
         element_index(g, code.n) for g in coordinate_index(code).row_order
     )
-
-
-def inverse_set(code: TypeQCode, D: Iterable[int]) -> frozenset[int]:
-    """Indices of the inverses of an element-index subset."""
-    table = type_q_table(code.n)
-    return frozenset(table.inv(i) for i in D)
 
 
 @dataclass(frozen=True)

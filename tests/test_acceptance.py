@@ -71,7 +71,7 @@ def test_criterion_1_golden_example(golden):
     from hfpq.typeq import element_vector
 
     kv = element_vector(GroupElement(11, True), golden)
-    rep_word = kv if kv.first_bit == 0 else kv.complement()
+    rep_word = kv if kv.bit(1) == 0 else kv.complement()
     assert basis[1] == rep_word
     assert basis[1].to_string() == GOLDEN_KAPPA
     elapsed = time.perf_counter() - t0
@@ -217,6 +217,6 @@ def test_criterion_8_axiom_property_suite(corpus):
             if z in (0, u):
                 continue
             proj = project_onto_support(all_codewords(code), BinaryWord(z, code.length))
-            dists = {a.distance(b) for a in proj for b in proj if a != b}
+            dists = {(a ^ b).weight for a in proj for b in proj if a != b}
             assert dists <= {n, 2 * n}
     _report(8, f"axiom suite over {len(corpus)} codes", t0)

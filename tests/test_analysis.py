@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hfpq import kernels_py
 from hfpq.analysis import (
     AnalysisReport,
     NotKernelElement,
@@ -93,14 +94,15 @@ def test_kernel_oracle_equivalence(golden):
 def test_kernel_coset_property(golden):
     # c * K(C) = c + K(C) for every codeword c
     from hfpq.analysis import kernel_ints
-    from hfpq.core import canonical_perm
-    from hfpq.typeq import codeword_ints, element_of_word
+    from hfpq.core import GroupElement, canonical_perm
+    from hfpq.typeq import codeword_ints
 
     n = golden.n
     words = codeword_ints(golden)
     kernel = kernel_ints(words)
     for c_bits in words:
-        g = element_of_word(golden, c_bits)
+        idx = words.index(c_bits)
+        g = GroupElement(idx % (4 * n), idx >= 4 * n)
         pi = canonical_perm(g, n)
         left = {c_bits ^ pi.apply_bits(z) for z in kernel}
         right = {c_bits ^ z for z in kernel}
@@ -116,7 +118,7 @@ def test_verify_hfp_reference(golden):
 
 
 def test_verify_hfp_tampered_weight(golden):
-    bad_a = golden.a_vec ^ BinaryWord.unit(3, 24)
+    bad_a = golden.a_vec ^ BinaryWord(1 << 2, 24)
     verdict = verify_hfp(TypeQCode(6, bad_a, golden.b_vec, None))
     assert not verdict.ok
     assert verdict.failure in (
@@ -131,6 +133,27 @@ def test_verify_hfp_finds_weight_witness():
     a = BinaryWord.from_string("11101000")
     verdict = verify_hfp(TypeQCode(2, a, BinaryWord.from_string("01101000"), None))
     assert not verdict.ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_hfp_agrees_with_scan_predicate(n):
+    # Every even-weight a with its derived b; for n <= 3 also that b with one
+    # bit flipped (b^2 fails) and with a mirrored pair flipped (b^2 holds, so
+    # the b a = a^-1 b branch runs).  The word checks alone reach the scan's
+    # verdict, so no permutation axiom ever decides one.
+    length = 4 * n
+    for a in range(1 << length):
+        if a.bit_count() % 2:
+            continue
+        b = kernels_py.derive_b_bits(a, n)
+        bs = [b]
+        if n <= 3:
+            bs += [b ^ (1 << i) for i in range(length)]
+            bs += [b ^ (1 << i) ^ (1 << (length - 1 - i)) for i in range(2 * n)]
+        for b_bits in bs:
+            code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b_bits, length))
+            expected = kernels_py.check_candidate(a, b_bits, n) is not None
+            assert verify_hfp(code).ok == expected
 
 
 def test_verify_hadamard_group_reference(golden):
@@ -162,7 +185,7 @@ def test_verify_hadamard_group_bad_involution(golden):
 def test_projection_reference(golden):
     proj = project_onto_support(all_codewords(golden), kappa_vector(11, 6))
     assert len(proj) == 24
-    dists = {a.distance(b) for a in proj for b in proj if a != b}
+    dists = {(a ^ b).weight for a in proj for b in proj if a != b}
     assert dists == {6, 12}
 
 

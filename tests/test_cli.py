@@ -169,6 +169,31 @@ def test_analyze_non_code_exits_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+# kernel exponent 7 (iota=7 is right); the transposed example has kernel
+# dimension 1, so no iota is right for it
+@pytest.mark.parametrize("text", [
+    "HFPQ v1\nn=4\na=0000101100101111\niota=3\n",
+    "HFPQ v1\nn=6\na=001010010000010110111111\niota=0\n",
+], ids=["wrong-exponent", "kernel-dim-1"])
+@pytest.mark.parametrize("command", ["analyze", "double"])
+def test_iota_not_matching_kernel_exits_1(command, text, tmp_path, capsys):
+    path = tmp_path / "iota.code"
+    path.write_text(text, encoding="ascii")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: iota=")
+    assert "Traceback" not in captured.err
+
+
+def test_iota_matching_kernel_passes(tmp_path, capsys):
+    path = tmp_path / "iota.code"
+    path.write_text("HFPQ v1\nn=4\na=0000101100101111\niota=7\n", encoding="ascii")
+    assert main(["analyze", str(path)]) == 0
+    assert main(["double", str(path)]) == 0
+    assert "iota=14" in capsys.readouterr().out
+
+
 def test_analyze_bound_violation_exits_3(golden_path, monkeypatch, capsys):
     real = cli.analyze
 

@@ -10,7 +10,6 @@ from hfpq.core import (
     apply_perm,
     canonical_perm,
     compose,
-    element_order,
     group_inv,
     group_mul,
     group_pow,
@@ -26,9 +25,9 @@ def test_word_basics():
     w = BinaryWord.from_string("10110")
     assert w.weight == 3
     assert w.support() == (1, 3, 4)
-    assert w.first_bit == 1
+    assert w.bit(1) == 1
     assert w.complement().to_string() == "01001"
-    assert w.distance(BinaryWord.from_string("00110")) == 1
+    assert (w ^ BinaryWord.from_string("00110")).weight == 1
     assert (w ^ w) == BinaryWord.zero(5)
 
 
@@ -41,13 +40,13 @@ def test_apply_perm_identity_and_units():
     w = BinaryWord.from_string("1101")
     assert apply_perm(Perm.identity(4), w) == w
     cycle = Perm.from_cycles(4, [(1, 2, 3, 4)])
-    assert apply_perm(cycle, BinaryWord.unit(1, 4)) == BinaryWord.unit(2, 4)
+    assert apply_perm(cycle, BinaryWord(1 << 0, 4)) == BinaryWord(1 << 1, 4)
     assert apply_perm(cycle, BinaryWord.all_ones(4)) == BinaryWord.all_ones(4)
 
 
 def test_apply_perm_inverse_indexing():
     # output position i holds input position pi^-1(i)
-    p = Perm.from_one_based([2, 3, 1])
+    p = Perm((1, 2, 0))  # 1 -> 2, 2 -> 3, 3 -> 1
     w = BinaryWord.from_string("100")
     assert apply_perm(p, w).to_string() == "010"
 
@@ -106,13 +105,18 @@ def test_group_relations():
         assert group_pow(a, 2 * n, n) == u_element(n)
 
 
+def _element_order(g: GroupElement, n: int) -> int:
+    e = GroupElement(0, False)
+    return next(k for k in range(1, 8 * n + 1) if group_pow(g, k, n) == e)
+
+
 def test_group_not_cyclic():
     # no element reaches order 8n
     for n in (1, 2, 3):
-        orders = {element_order(g, n) for g in all_elements(n)}
+        orders = {_element_order(g, n) for g in all_elements(n)}
         assert max(orders) < 8 * n
-        assert element_order(GroupElement(1, False), n) == 4 * n
-        assert element_order(GroupElement(0, True), n) == 4
+        assert _element_order(GroupElement(1, False), n) == 4 * n
+        assert _element_order(GroupElement(0, True), n) == 4
 
 
 def test_type_q_table_is_a_group():
@@ -130,25 +134,30 @@ def test_canonical_perm_printed_generators():
     assert canonical_perm(GroupElement(0, True), 2) == Perm.from_cycles(
         8, [(1, 8), (2, 7), (3, 6), (4, 5)]
     )
-    assert pi_b(2).one_based() == (8, 7, 6, 5, 4, 3, 2, 1)
+    assert pi_b(2).images == (7, 6, 5, 4, 3, 2, 1, 0)
+
+
+# The three permutation axioms of an HFP code depend on n alone, so
+# verify_hfp relies on these exhaustive checks instead of repeating them.
+PERM_NS = range(1, 9)
 
 
 def test_canonical_perm_kernel_is_center():
-    for n in (2, 3):
+    for n in PERM_NS:
         assert canonical_perm(u_element(n), n).is_identity()
         assert canonical_perm(GroupElement(0, False), n).is_identity()
 
 
 def test_canonical_perm_homomorphism_full():
-    for n in (1, 2, 3):
-        for g in all_elements(n):
-            for h in all_elements(n):
-                lhs = compose(canonical_perm(g, n), canonical_perm(h, n))
-                assert lhs == canonical_perm(group_mul(g, h, n), n)
+    for n in PERM_NS:
+        perms = {g: canonical_perm(g, n) for g in all_elements(n)}
+        for g, pg in perms.items():
+            for h, ph in perms.items():
+                assert compose(pg, ph) == perms[group_mul(g, h, n)]
 
 
 def test_canonical_perm_fixed_point_free():
-    for n in (2, 3):
+    for n in PERM_NS:
         e = GroupElement(0, False)
         for g in all_elements(n):
             if g in (e, u_element(n)):

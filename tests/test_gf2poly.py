@@ -20,7 +20,6 @@ from hfpq.gf2poly import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_to_str,
 )
 
 _X = sympy.symbols("x")
@@ -58,15 +57,15 @@ def test_add_modulus_mismatch():
 
 def test_mul_mod_wraparound():
     m = 8
-    x = Gf2Poly.x_power(1, m)
-    x_top = Gf2Poly.x_power(m - 1, m)
+    x = Gf2Poly(1 << 1, m)
+    x_top = Gf2Poly(1 << (m - 1), m)
     assert mul_mod(x, x_top) == Gf2Poly.one(m)
 
 
 def test_mul_mod_by_x_is_cyclic_shift():
     rng = random.Random(3)
     for m in (4, 6, 12):
-        x = Gf2Poly.x_power(1, m)
+        x = Gf2Poly(1 << 1, m)
         for _ in range(20):
             p = Gf2Poly(rng.randrange(1 << m), m)
             shifted = mul_mod(x, p)
@@ -100,7 +99,7 @@ def test_gcd_reference_operand():
     # first half of the embedded example: a1 + phi1(a1), gcd with x^12 + 1
     a1 = Gf2Poly.from_string("111111011010")
     op = add(a1, mul_by_x(phi1(a1), 12))
-    assert poly_to_str(op.coeffs) == "x^11+x^9+x^6+x^5+x^2+1"
+    assert op.coeffs == 0b1010_0110_0101  # x^11+x^9+x^6+x^5+x^2+1
     assert gcd_with_modulus(op) == X_PLUS_1
 
 

@@ -69,9 +69,9 @@ def _naive_realization(a: BinaryWord, b: BinaryWord, n: int):
     # Hadamard property checked directly through pairwise distances
     for i, x in enumerate(vals):
         for y in vals[i + 1 :]:
-            if x.distance(y) not in (2 * n, 4 * n):
+            if (x ^ y).weight not in (2 * n, 4 * n):
                 return None
-            if x.distance(y) == 4 * n and y != x.complement():
+            if (x ^ y).weight == 4 * n and y != x.complement():
                 return None
     return words
 

@@ -22,6 +22,7 @@ from hfpq.typeq import (
     codeword_ints,
     codeword_set,
     kappa_vector,
+    make_code,
 )
 
 
@@ -93,6 +94,16 @@ def test_double_requires_kernel_dimension_two(golden):
     t = transpose_code(golden)  # kernel dimension 1
     with pytest.raises(ValueError):
         double_code(t)
+
+
+def test_double_rejects_iota_of_the_wrong_exponent():
+    # kernel exponent 7; iota=3 has the same parity, so the kappa pattern
+    # alone does not tell them apart
+    a = BinaryWord.from_string("0000101100101111")
+    assert kernel_iota(codeword_ints(make_code(4, a)), 4)[1] == 7
+    assert double_code(make_code(4, a, iota=7)).iota == 14
+    with pytest.raises(ValueError):
+        double_code(make_code(4, a, iota=3))
 
 
 def test_double_small_hits_kernel_exponent_doubles(k2_hits):
