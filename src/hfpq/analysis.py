@@ -347,11 +347,21 @@ def classify(report: AnalysisReport) -> tuple[str, ...]:
 
 
 def analyze(code: TypeQCode) -> AnalysisReport:
-    """Verify, then compute rank/kernel and check every applicable bound."""
+    """Verify, then compute rank/kernel and check every applicable bound.
+
+    The rank is taken over the 4n words of a, ..., a^(2n) and
+    b, ..., a^(2n-1) b.  pi_(a^(2n)) = id, so the propelinear product gives
+    w(a^(2n) g) = w(a^(2n)) + w(g), which is u + w(g) on a verified code.
+    The word of e is 0, and every other word is one of the 4n plus
+    w(a^(2n)), itself one of them, so the span is the same.  The word
+    table is built by that product for any (a, b), so this needs no
+    verification.
+    """
     words = codeword_ints(code)
     length = code.length
+    n = code.n
     verdict = verify_hfp(code)
-    rank = rank_of_ints(words)
+    rank = rank_of_ints(words[1 : 2 * n + 1] + words[4 * n : 6 * n])
     kernel = kernel_ints(words)
     dim, basis = _kernel_basis(kernel, length)
     s, n_prime = two_adic_split(length)

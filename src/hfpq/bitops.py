@@ -4,12 +4,12 @@ from __future__ import annotations
 
 
 def reverse_bits(x: int, width: int) -> int:
-    """Reverse a width-bit string: bit i moves to bit width-1-i."""
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (x & 1)
-        x >>= 1
-    return out
+    """Reverse a width-bit string: bit i moves to bit width-1-i.
+
+    Reads only the low width bits of x (width >= 1); the marker bit at
+    position width keeps the leading zeros in bin().
+    """
+    return int(bin(x & ((1 << width) - 1) | 1 << width)[:2:-1], 2)
 
 
 def rotl(x: int, k: int, width: int) -> int:

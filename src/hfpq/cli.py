@@ -214,19 +214,11 @@ def cmd_double(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    matrix = build_matrix(load_code(args.path))
-    rows = matrix.row_words()
-    if args.format == "01":
-        text = "\n".join(w.to_string() for w in rows) + "\n"
-    else:
-        text = (
-            "\n".join(
-                " ".join("-1" if w.bit(i) else "+1" for i in range(1, w.length + 1))
-                for w in rows
-            )
-            + "\n"
-        )
-    _write_output(text, args.output)
+    lines = [w.to_string() for w in build_matrix(load_code(args.path)).row_words()]
+    if args.format == "pm1":
+        pm1 = str.maketrans({"0": "+1 ", "1": "-1 "})
+        lines = [line.translate(pm1)[:-1] for line in lines]
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -41,16 +41,12 @@ class BinaryWord:
     @classmethod
     def from_string(cls, s: str) -> "BinaryWord":
         """Parse a 0/1 string; leftmost character is position 1."""
-        if not s or any(c not in "01" for c in s):
+        if not s or s.strip("01"):
             raise ValueError(f"not a 0/1 string: {s!r}")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(bits, len(s))
+        return cls(int(s[::-1], 2), len(s))
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        return bin(self.bits | 1 << self.length)[:2:-1]
 
     @property
     def weight(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import IndexingInconsistency, kernel_iota, verify_hfp
+from .bitops import reverse_bits, rotl
 from .core import BinaryWord
 from .gf2poly import (
     X_PLUS_1,
@@ -37,14 +38,12 @@ def _transpose_relabel(word: int, n: int) -> int:
 
     Columns of H carry their first-half coordinates in the opposite cyclic
     direction (labels e, a, a^2, ... instead of e, a^-1, a^-2, ...); this
-    brings a column word into the canonical coordinate order.
+    brings a column word into the canonical coordinate order.  Bit p of
+    the first half moves to bit -p mod 2n: a reversal, then a rotation by 1.
     """
     half = 2 * n
-    out = word & 1
-    for p in range(1, half):
-        out |= ((word >> (half - p)) & 1) << p
-    mask = ((1 << half) - 1) << half
-    return out | (word & mask)
+    mask = (1 << half) - 1
+    return rotl(reverse_bits(word, half), 1, half) | (word & (mask << half))
 
 
 def transpose_code(code: TypeQCode) -> TypeQCode:

@@ -188,14 +188,12 @@ class HadamardMatrixQ:
     def row_words(self) -> tuple[BinaryWord, ...]:
         return tuple(BinaryWord(r, self.order) for r in self.rows)
 
-    def column(self, j: int) -> int:
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= ((row >> j) & 1) << i
-        return out
-
     def transposed_rows(self) -> tuple[int, ...]:
-        return tuple(self.column(j) for j in range(self.order))
+        """Columns as ints (bit i of column j is bit j of row i), zipped
+        from the rows' bit strings read from bit 0, last row first."""
+        top = 1 << self.order
+        rows = [bin(row | top)[:2:-1] for row in reversed(self.rows)]
+        return tuple(int("".join(col), 2) for col in zip(*rows))
 
 
 def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:

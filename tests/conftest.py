@@ -30,7 +30,27 @@ def general_hits():
 
 
 @pytest.fixture(scope="session")
+def general_hits_5():
+    from hfpq.search import search_general
+
+    return search_general(5)
+
+
+@pytest.fixture(scope="session")
 def k2_hits():
     from hfpq.search import search_k2
 
     return {n: search_k2(n) for n in (1, 2, 3, 4, 5, 6)}
+
+
+@pytest.fixture(scope="session")
+def golden_chain(golden):
+    """The golden code doubled up to length 768: (doubled, transposed) per step."""
+    from hfpq.transforms import double_code, transpose_code
+
+    steps = []
+    code = golden
+    for _ in range(5):
+        code = double_code(code)
+        steps.append((code, transpose_code(code)))
+    return steps

@@ -14,6 +14,7 @@ from hfpq.analysis import (
     compute_rank,
     kernel_by_automorphism,
     project_onto_support,
+    rank_of_ints,
     rank_via_generators,
     verify_hadamard_group,
     verify_hfp,
@@ -22,6 +23,7 @@ from hfpq.core import BinaryWord, GroupTable, type_q_table
 from hfpq.typeq import (
     TypeQCode,
     all_codewords,
+    codeword_ints,
     codeword_set,
     d1_in_coordinate_order,
     kappa_vector,
@@ -137,23 +139,37 @@ def test_verify_hfp_finds_weight_witness():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_hfp_agrees_with_scan_predicate(n):
-    # Every even-weight a with its derived b; for n <= 3 also that b with one
-    # bit flipped (b^2 fails) and with a mirrored pair flipped (b^2 holds, so
-    # the b a = a^-1 b branch runs).  The word checks alone reach the scan's
-    # verdict, so no permutation axiom ever decides one.
+    # For n <= 2 every (a, b) pair.  For n = 3, 4 every even-weight a with
+    # its derived b; for n = 3 also that b with one bit flipped (b^2 fails)
+    # and with a mirrored pair flipped (b^2 holds, so the b a = a^-1 b
+    # branch runs).  The word checks alone reach the scan's verdict, so no
+    # permutation axiom ever decides one.
     length = 4 * n
     for a in range(1 << length):
-        if a.bit_count() % 2:
+        if n <= 2:
+            bs = range(1 << length)
+        elif a.bit_count() % 2:
             continue
-        b = kernels_py.derive_b_bits(a, n)
-        bs = [b]
-        if n <= 3:
-            bs += [b ^ (1 << i) for i in range(length)]
-            bs += [b ^ (1 << i) ^ (1 << (length - 1 - i)) for i in range(2 * n)]
+        else:
+            b = kernels_py.derive_b_bits(a, n)
+            bs = [b]
+            if n == 3:
+                bs += [b ^ (1 << i) for i in range(length)]
+                bs += [b ^ (1 << i) ^ (1 << (length - 1 - i)) for i in range(2 * n)]
         for b_bits in bs:
             code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b_bits, length))
             expected = kernels_py.check_candidate(a, b_bits, n) is not None
             assert verify_hfp(code).ok == expected
+
+
+def test_analyze_rank_matches_all_words(
+    general_hits, general_hits_5, k2_hits, golden_chain
+):
+    # the rank from 4n words equals the rank of all 8n words
+    codes = [c for n in (1, 2, 3, 4) for c in general_hits[n]] + general_hits_5
+    codes += k2_hits[6] + [c for step in golden_chain for c in step]
+    for code in codes:
+        assert analyze(code).rank == rank_of_ints(codeword_ints(code))
 
 
 def test_verify_hadamard_group_reference(golden):

@@ -14,11 +14,13 @@ from hfpq.cli import (
     CodeFileError,
     code_from_file,
     format_code_file,
+    load_code,
     main,
     parse_code_file,
 )
 from hfpq.core import BinaryWord
-from hfpq.typeq import TypeQCode, codeword_set
+from hfpq.transforms import double_code
+from hfpq.typeq import TypeQCode, build_matrix, codeword_set
 
 GOLDEN_FILE = """HFPQ v1
 n=6
@@ -244,6 +246,28 @@ def test_export_pm1_format(golden_path, capsys):
     assert lines[0].split() == ["+1"] * 24
     assert all(tok in ("+1", "-1") for line in lines for tok in line.split())
     assert all(line.split().count("-1") == 12 for line in lines[1:])
+
+
+def test_export_matches_bitwise_rendering(golden_path, tmp_path):
+    # byte-identical to rendering each row bit by bit, at lengths 24 and 96
+    golden = code_from_file(parse_code_file(GOLDEN_FILE))
+    double_path = tmp_path / "double96.code"
+    double_path.write_text(
+        format_code_file(double_code(double_code(golden))), encoding="ascii"
+    )
+    for path in (golden_path, str(double_path)):
+        matrix = build_matrix(load_code(path))
+        bits = [[(row >> i) & 1 for i in range(matrix.order)] for row in matrix.rows]
+        want = {
+            "01": "".join("".join(map(str, r)) + "\n" for r in bits),
+            "pm1": "".join(
+                " ".join("-1" if x else "+1" for x in r) + "\n" for r in bits
+            ),
+        }
+        for fmt, text in want.items():
+            out = tmp_path / f"rows.{fmt}"
+            assert main(["export", path, "--format", fmt, "-o", str(out)]) == 0
+            assert out.read_bytes() == text.encode("ascii")
 
 
 def test_search_k2_only_length12_empty(capsys):

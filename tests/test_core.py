@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hfpq.core import (
@@ -29,6 +31,20 @@ def test_word_basics():
     assert w.complement().to_string() == "01001"
     assert (w ^ BinaryWord.from_string("00110")).weight == 1
     assert (w ^ w) == BinaryWord.zero(5)
+
+
+def test_word_string_round_trip():
+    # the leftmost character is position 1 (bit 0), at every length
+    rng = random.Random(5)
+    for length in (1, 2, 7, 24, 63, 64, 65, 768):
+        for _ in range(10):
+            bits = rng.getrandbits(length)
+            text = "".join("1" if (bits >> i) & 1 else "0" for i in range(length))
+            assert BinaryWord(bits, length).to_string() == text
+            assert BinaryWord.from_string(text) == BinaryWord(bits, length)
+    for bad in ("", "012", "1 0", "1_0", "+1", "0b1", "\u0661"):
+        with pytest.raises(ValueError, match="not a 0/1 string"):
+            BinaryWord.from_string(bad)
 
 
 def test_word_length_mismatch():

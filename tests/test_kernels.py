@@ -148,3 +148,24 @@ def test_check_candidate_is_power_then_coset_words(golden):
     assert words[:24] == list(kernels_py.codeword_table(a, b, 6)[:24])
     assert kernels_py.coset_words(words, a, b, 6) == kernels_py.check_candidate(a, b, 6)
     assert kernels_py.power_words(a ^ 1, 6) is None
+
+
+def _reverse_by_bit(x: int, width: int) -> int:
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (x & 1)
+        x >>= 1
+    return out
+
+
+def test_reverse_bits_matches_bitwise_reference():
+    # only the low width bits count: exhaustive over width + 1 bits up to
+    # width 12, then random words with junk above bit width up to 768
+    for width in range(1, 13):
+        for x in range(1 << (width + 1)):
+            assert reverse_bits(x, width) == _reverse_by_bit(x, width)
+    rng = random.Random(11)
+    for width in (13, 31, 63, 64, 65, 96, 192, 384, 768):
+        for _ in range(20):
+            x = rng.getrandbits(width + rng.randrange(8))
+            assert reverse_bits(x, width) == _reverse_by_bit(x, width)

@@ -165,9 +165,9 @@ def test_search_general_results_sorted(general_hits):
         assert keys == sorted(keys)
 
 
-def test_search_general_n5_full_space():
+def test_search_general_n5_full_space(general_hits_5):
     # largest length with s=2 at desk scale: every code is full rank, k=1
-    hits = search_general(5)
+    hits = general_hits_5
     assert len(hits) == 1400
     for code in hits[::40]:
         rep = analyze(code)

@@ -8,6 +8,7 @@ from hfpq.analysis import analyze, compute_kernel, kernel_iota
 from hfpq.core import BinaryWord
 from hfpq.gf2poly import X_PLUS_1, Gf2Poly, poly_mul
 from hfpq.transforms import (
+    _transpose_relabel,
     double_code,
     double_gcd_check,
     doubled_criterion_operand,
@@ -44,9 +45,33 @@ def test_transpose_reference(golden):
     assert t.iota is None
 
 
-def test_transpose_involution(golden):
-    t = transpose_code(golden)
-    assert codeword_set(transpose_code(t)) == codeword_set(golden)
+def test_transpose_involution(golden, general_hits, k2_hits):
+    # the golden code, every general hit of length <= 16 and every k2 hit at 16
+    codes = [golden] + [c for n in (1, 2, 3, 4) for c in general_hits[n]]
+    for code in codes + k2_hits[4]:
+        t = transpose_code(code)
+        assert codeword_set(transpose_code(t)) == codeword_set(code)
+
+
+def _relabel_by_bit(word: int, n: int) -> int:
+    half = 2 * n
+    out = word & 1
+    for p in range(1, half):
+        out |= ((word >> (half - p)) & 1) << p
+    return out | (word & (((1 << half) - 1) << half))
+
+
+def test_transpose_relabel_matches_bitwise_reference():
+    # exhaustive up to 12 bits (and one bit beyond), then random words of
+    # up to 768 bits with junk above bit 4n
+    for n in (1, 2, 3):
+        for word in range(1 << (4 * n + 1)):
+            assert _transpose_relabel(word, n) == _relabel_by_bit(word, n)
+    rng = random.Random(7)
+    for n in (4, 5, 6, 24, 96, 192):
+        for _ in range(20):
+            word = rng.getrandbits(4 * n + rng.randrange(8))
+            assert _transpose_relabel(word, n) == _relabel_by_bit(word, n)
 
 
 def test_transpose_kills_kernel_dimension(k2_hits):

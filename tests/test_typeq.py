@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hfpq.core import (
@@ -12,6 +14,7 @@ from hfpq.core import (
 )
 from hfpq.gf2poly import Gf2Poly
 from hfpq.typeq import (
+    HadamardMatrixQ,
     NotHadamardGroup,
     NotTypeQCandidate,
     TypeQCode,
@@ -192,6 +195,27 @@ def test_transpose_of_matrix_is_hadamard(golden):
     for i in range(24):
         for j in range(i + 1, 24):
             assert (cols[i] ^ cols[j]).weight == 12
+
+
+def _columns_by_bit(rows: tuple[int, ...]) -> tuple[int, ...]:
+    cols = []
+    for j in range(len(rows)):
+        col = 0
+        for i, row in enumerate(rows):
+            col |= ((row >> j) & 1) << i
+        cols.append(col)
+    return tuple(cols)
+
+
+def test_transposed_rows_matches_bitwise_reference(golden, golden_chain):
+    rng = random.Random(3)
+    for order in range(1, 71):
+        rows = tuple(rng.getrandbits(order) for _ in range(order))
+        H = HadamardMatrixQ(order, rows, coordinate_index(golden))
+        assert H.transposed_rows() == _columns_by_bit(rows)
+    for code in [golden] + [doubled for doubled, _ in golden_chain]:
+        H = build_matrix(code)
+        assert H.transposed_rows() == _columns_by_bit(H.rows)
 
 
 def test_construct_from_group_round_trip(golden):
