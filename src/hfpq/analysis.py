@@ -83,14 +83,18 @@ def compute_rank(codewords: Iterable[BinaryWord]) -> int:
 
 
 def kernel_ints(words: Iterable[int]) -> list[int]:
-    """Kernel of a codeword set containing 0, as sorted ints."""
+    """Kernel of a codeword set containing 0, as sorted ints.
+
+    The kernel is filtered word by word: after the pass for c, only the
+    z with z + c in the code remain, and most candidates fail within the
+    first few c.
+    """
     word_set = frozenset(words)
     if 0 not in word_set:
         raise ValueError("zero word must belong to the code")
-    kernel = [
-        z for z in word_set if all((z ^ c) in word_set for c in word_set)
-    ]
-    kernel.sort()
+    kernel = sorted(word_set)
+    for c in word_set:
+        kernel = [z for z in kernel if z ^ c in word_set]
     return kernel
 
 

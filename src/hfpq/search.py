@@ -4,8 +4,8 @@ Each candidate family is enumerated by one generator:
 
 - _structured(n): iota in [0, 2n), a1 of odd weight, a2 derived from a1
   and iota; yields the verified candidates in (iota, a1) order.
-- _general(n, stop): every generator word a below stop, in chunks of
-  increasing a; yields the scan kernel's hits of each chunk.
+- _general(n, stop): the generator words a in the rows a2 below stop, in
+  steps of whole rows; yields the scan kernel's hits of each step.
 
 Candidates are pruned by necessary conditions on a alone before b is
 derived:
@@ -17,8 +17,21 @@ derived:
   which rejects most of the remaining words at a^2.
 
 Only the survivors get derive_b_bits and the b-part of the check
-(coset_words).  search_k2 and search_general consume their generator
-completely; ito_scan takes the first hit of each.  Search results are
+(coset_words).
+
+Both generators scan a quotient.  The raw hits are closed under sigma_s
+(rotate half 1 by +s and half 2 by -s) and the complement a -> a + u, and
+these maps keep every structured iota family and every kernel iota (proof
+in _orbit).  So _general scans only the rows a2 that are least in their
+class under rotation and complement, and _structured only the a1 that
+are; each row or a1 outside this set is an image of one inside.  The
+searches expand every hit of the quotient into its orbit (_orbit), derive
+b again for each image and build its codeword table, so dedup still sees
+every raw hit exactly once.  kernel_iota runs once per quotient hit and
+its iota is attached to every image.  search_k2 and search_general
+consume their generator completely; ito_scan takes the first hit of each,
+which is the smallest hit overall because the least word of an orbit
+lies in a quotient row (or has a quotient a1).  Search results are
 deduplicated by codeword-set equality only and sorted by the a string, so
 the output is independent of the order in which candidates are visited.
 """
@@ -30,6 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import kernels
 from .analysis import kernel_iota
+from .bitops import rotl
 from .core import BinaryWord
 from .typeq import TypeQCode, codeword_ints, kappa_vector
 
@@ -68,21 +82,67 @@ def _stop(n: int, limit: int | None) -> int:
     return min(limit, space)
 
 
+def _least_in_class(x: int, half: int) -> bool:
+    """Whether x is the least of its rotations and of its complement's rotations."""
+    mask = (1 << half) - 1
+    for y in (x ^ mask, x):
+        for k in range(half):
+            if rotl(y, k, half) < x:
+                return False
+    return True
+
+
+def _orbit(a: int, n: int) -> set[int]:
+    """The distinct images of a under sigma_s (s < 2n) and the complement.
+
+    sigma_s rotates half 1 by +s and half 2 by -s.  It is a coordinate
+    permutation that commutes with pi_a (the per-half rotation) and with
+    pi_b (the full reversal, which sends position i of half 1 to position
+    2n-1-i of half 2).  So it maps the word table of (a, b) index for index
+    onto the table of (sigma a, sigma b), which preserves the weights,
+    distinctness and the defining relations: hits map to hits.  sigma b is
+    derive_b_bits(sigma a) or its complement; b + u gives a^i (b + u) =
+    a^(i+2n) b, which shifts the b-indices by 2n and leaves kernel_iota
+    (taken mod 2n) unchanged.  a + u = a^(2n+1) generates the same codeword
+    set (the word of (a + u)^i is that of a^i, plus u for odd i), so it is
+    a hit with the same kernel and iota.
+
+    In the structured family a2 = x^(iota+1) phi1(a1) + u, and phi1(x^s a1)
+    = x^(-s) phi1(a1), so derive_a2(rot(a1, s), iota) = rot(derive_a2(a1,
+    iota), -s) and derive_a2(a1 + u, iota) = derive_a2(a1, iota) + u: both
+    maps keep every iota family.  sigma_s sends kappa_vector(iota) to
+    itself (s even) or to its complement (s odd), and the kernel holds u,
+    so the k2 test of search_k2 gives the same verdict on every image.
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    images = set()
+    for w in (a, a ^ ((1 << (2 * half)) - 1)):
+        lo, hi = w & mask, w >> half
+        for s in range(half):
+            images.add(rotl(lo, s, half) | (rotl(hi, -s, half) << half))
+    return images
+
+
 def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """Verified (iota, a, b, words) of the structured family.
+    """Verified (iota, a, b, words) of the structured family, a1 least in its class.
 
     a2 = x^(iota+1) phi1(a1) + u has weight 2n - wt(a1), so every
     candidate has weight 2n and derive_b_bits always finds b.  Per half,
     a^(2n) = sum_{j<2n} x^j a_h = wt(a_h) u_h, so a^(2n) = u exactly when
     both halves are odd, which for wt(a) = 2n means wt(a1) odd: the even
     a1 are skipped, and the power loop (power_words) runs before b is
-    derived.
+    derived.  Every other verified candidate of an iota family is an image
+    of one yielded here under _orbit.
     """
     half = 2 * n
+    quotient = [
+        a1
+        for a1 in range(1 << half)
+        if a1.bit_count() & 1 and _least_in_class(a1, half)
+    ]
     for iota in range(half):
-        for a1 in range(1 << half):
-            if a1.bit_count() % 2 == 0:
-                continue
+        for a1 in quotient:
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
             words = kernels.power_words(a_bits, n)
             if words is None:
@@ -94,10 +154,25 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
 
 
 def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(words scanned so far, (a, b) hits) for each chunk of a in [0, stop)."""
-    for lo in range(0, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        yield hi, kernels.scan_general(n, lo, hi)
+    """(words covered so far, (a, b) hits below stop) per step of whole rows.
+
+    Scans the rows a2 of odd weight that are least in their class, up to
+    stop; a step is max(4096 words, one row).  Every hit below the covered
+    bound is found here or is an image of a hit found in an earlier row:
+    a row's class representative is at most the row.  Only the row
+    holding stop is cut short; its words below stop are all scanned, and
+    the other rows of its class lie above it.
+    """
+    half = 2 * n
+    rows = max(_CHUNK >> half, 1)
+    last = (stop - 1) >> half
+    for first in range(0, last + 1, rows):
+        found: list[tuple[int, int]] = []
+        for a2 in range(first, min(first + rows, last + 1)):
+            if a2.bit_count() & 1 and _least_in_class(a2, half):
+                end = min((a2 + 1) << half, stop)
+                found += kernels.scan_general(n, a2 << half, end)
+        yield min((first + rows) << half, stop), found
 
 
 def search_k2(
@@ -110,16 +185,21 @@ def search_k2(
 
     Keeps candidates whose kernel has dimension exactly 2 with generator
     matching the alternating pattern for iota; on_other receives verified
-    codes whose kernel disagrees (linear hits in particular).
+    codes whose kernel disagrees (linear hits in particular).  Each
+    quotient candidate is tested once and decides for its whole orbit.
     """
     half = 2 * n
     hits: list[tuple[TypeQCode, tuple[int, ...]]] = []
-    for iota, a_bits, b_bits, words in _structured(n):
+    for iota, a_bits, _, words in _structured(n):
         kernel, found_iota = kernel_iota(words, n)
-        if found_iota == iota and kappa_vector(iota, n).bits in kernel:
-            hits.append((_code(n, a_bits, b_bits, iota), words))
-        elif on_other is not None:
-            on_other(_code(n, a_bits, b_bits, None))
+        keep = found_iota == iota and kappa_vector(iota, n).bits in kernel
+        for image in sorted(_orbit(a_bits, n)):
+            b_bits = kernels.derive_b_bits(image, n)
+            if keep:
+                table = kernels.codeword_table(image, b_bits, n)
+                hits.append((_code(n, image, b_bits, iota), table))
+            elif on_other is not None:
+                on_other(_code(n, image, b_bits, None))
     if progress is not None:
         progress(half << (half - 1), len(hits))
     return _sorted_unique(hits)
@@ -134,15 +214,23 @@ def search_general(
     """Scan every a in GF(2)^(4n) (or the first `limit`), deriving b.
 
     Every hit passes full verification; iota is attached when the kernel
-    has dimension 2.
+    has dimension 2.  With a limit, only the images below it are kept.
     """
+    stop = _stop(n, limit)
     hits: list[tuple[TypeQCode, tuple[int, ...]]] = []
-    for scanned, found in _general(n, _stop(n, limit)):
+    seen: set[int] = set()
+    for covered, found in _general(n, stop):
         for a_bits, b_bits in found:
-            words = kernels.codeword_table(a_bits, b_bits, n)
-            hits.append((_code(n, a_bits, b_bits, kernel_iota(words, n)[1]), words))
+            iota = kernel_iota(kernels.codeword_table(a_bits, b_bits, n), n)[1]
+            images = _orbit(a_bits, n) - seen
+            seen |= images
+            for image in images:
+                if image < stop:
+                    b_image = kernels.derive_b_bits(image, n)
+                    table = kernels.codeword_table(image, b_image, n)
+                    hits.append((_code(n, image, b_image, iota), table))
         if progress is not None:
-            progress(scanned, len(hits))
+            progress(covered, len(hits))
     return _sorted_unique(hits)
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from hfpq import kernels
+from hfpq import kernels, search
 from hfpq.analysis import analyze, kernel_iota, verify_hfp
 from hfpq.core import (
     BinaryWord,
@@ -16,7 +18,10 @@ from hfpq.core import (
 from hfpq.gf2poly import Gf2Poly, mul_by_x, phi1
 from hfpq.search import (
     ItoScanRow,
-    _general,
+    _code,
+    _least_in_class,
+    _orbit,
+    _sorted_unique,
     _stop,
     _structured,
     ito_scan,
@@ -24,6 +29,8 @@ from hfpq.search import (
     search_k2,
 )
 from hfpq.typeq import TypeQCode, codeword_set
+
+from .test_kernels import _brute_scan
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}
 EXPECTED_K2 = {1: 0, 2: 0, 3: 0, 4: 128, 5: 0, 6: 864}
@@ -151,12 +158,37 @@ def test_search_k2_kernel_structure(k2_hits):
         assert basis[1] == kappa_vector(code.iota, code.n)
 
 
+def _codes_from(hits, n):
+    """The search output built directly from raw (a, b) hits."""
+    tables = [(a, b, kernels.codeword_table(a, b, n)) for a, b in hits]
+    return _sorted_unique(
+        (_code(n, a, b, kernel_iota(words, n)[1]), words) for a, b, words in tables
+    )
+
+
+def _summary(codes):
+    return [(c.a_vec.bits, c.b_vec.bits, c.iota) for c in codes]
+
+
+# Limits inside rows and on row bounds.  Rows are 4, 16 and 64 words for
+# n = 1, 2, 3.  At n = 1 row 1 is fixed by complement-and-rotate; at n = 3
+# rows 7 and 21 are quotient rows with nontrivial stabilizers (21 = 010101
+# is periodic), and rows 11 and 42 are not in the quotient.
+LIMIT_CASES = [
+    (1, 1), (1, 5), (1, 6), (1, 8), (1, 11),
+    (2, 17), (2, 20), (2, 40), (2, 100), (2, 200),
+    (3, 7 * 64), (3, 7 * 64 + 30), (3, 11 * 64 + 5), (3, 21 * 64 + 17),
+    (3, 22 * 64), (3, 42 * 64 + 40), (3, 3001),
+]
+
+
 def test_search_general_limit_cap():
-    capped = search_general(3, limit=1 << 10)
-    full = search_general(3)
-    full_sets = {frozenset(codeword_set(h)) for h in full}
-    assert all(frozenset(codeword_set(h)) in full_sets for h in capped)
-    assert len(capped) <= len(full)
+    # the capped search keeps exactly the hits below the limit, with
+    # their own b and iota, however the limit splits a row
+    for n, limit in LIMIT_CASES:
+        assert _summary(search_general(n, limit)) == _summary(
+            _codes_from(_brute_scan(n, 0, limit), n)
+        ), (n, limit)
 
 
 def test_search_general_results_sorted(general_hits):
@@ -213,11 +245,10 @@ def _assert_iota_matches_kernel(words, n):
 def test_kernel_iota_never_finds_a_power_of_a(n):
     # exhaustive over raw hits: the kernel generator of every k=2 code is
     # some a^i b, so kernel_iota's IndexingInconsistency branch is unreached
-    for _, found in _general(n, 1 << (4 * n)):
-        for a_bits, b_bits in found:
-            words = kernels.codeword_table(a_bits, b_bits, n)
-            _assert_iota_matches_kernel(words, n)
-    for _, _, _, words in _structured(n):
+    for a_bits, b_bits in kernels.scan_general(n, 0, 1 << (4 * n)):
+        words = kernels.codeword_table(a_bits, b_bits, n)
+        _assert_iota_matches_kernel(words, n)
+    for _, _, _, words in _structured_b_first(n):
         _assert_iota_matches_kernel(words, n)
 
 
@@ -253,9 +284,83 @@ def _structured_b_first(n):
                 yield iota, a_bits, b_bits, words
 
 
+def _expand_structured(n):
+    """Every (iota, a, b, words) reached from _structured by its orbits."""
+    for iota, a_bits, _, _ in _structured(n):
+        for image in _orbit(a_bits, n):
+            b_bits = kernels.derive_b_bits(image, n)
+            yield iota, image, b_bits, kernels.codeword_table(image, b_bits, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_structured_a_first_matches_b_first(n):
-    assert list(_structured(n)) == list(_structured_b_first(n))
+    # the quotient candidates are verified candidates, and their orbits
+    # give back every verified candidate of the full b-first enumeration
+    everything = list(_structured_b_first(n))
+    assert set(_structured(n)) <= set(everything)
+    assert sorted(_expand_structured(n)) == sorted(everything)
+
+
+def _raw_hits(monkeypatch, run):
+    """Run a search and return the (code, words) pairs it deduplicates."""
+    raw = []
+
+    def capture(hits):
+        hits = list(hits)
+        raw.extend(hits)
+        return _sorted_unique(hits)
+
+    monkeypatch.setattr(search, "_sorted_unique", capture)
+    run()
+    return raw
+
+
+def _assert_images_match_fresh(raw, n):
+    # every image carries its own b, its own table and its kernel's iota
+    for code, words in raw:
+        a_bits, b_bits = code.a_vec.bits, code.b_vec.bits
+        assert b_bits == kernels.derive_b_bits(a_bits, n)
+        assert words == kernels.codeword_table(a_bits, b_bits, n)
+        assert code.iota == kernel_iota(words, n)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_general_orbit_closure_is_brute_scan(monkeypatch, n):
+    raw = _raw_hits(monkeypatch, lambda: search_general(n))
+    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == _brute_scan(
+        n, 0, 1 << (4 * n)
+    )
+    _assert_images_match_fresh(raw, n)
+
+
+# sha256 of the sorted a strings of search_general(5) before the quotient
+GENERAL_5_DIGEST = "f0422d701965415282d3044e28c3b6360ceb0b68875b4e7118c8a60c6b787a25"
+
+
+def test_general_orbit_closure_is_full_scan_n5(monkeypatch, general_hits_5):
+    raw = _raw_hits(monkeypatch, lambda: search_general(5))
+    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == (
+        kernels.scan_general(5, 0, 1 << 20)
+    )
+    _assert_images_match_fresh(raw, 5)
+    a_strings = "\n".join(c.a_vec.to_string() for c in general_hits_5)
+    assert hashlib.sha256(a_strings.encode("ascii")).hexdigest() == GENERAL_5_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_structured_images_carry_kernel_iota(monkeypatch, n):
+    raw = _raw_hits(monkeypatch, lambda: search_k2(n))
+    assert len(raw) == {4: 512, 6: 3456}.get(n, 0)
+    _assert_images_match_fresh(raw, n)
+
+
+def test_quotient_sizes():
+    # odd-weight rows (or a1) least in their class, of the 2^(2n-1) odd ones
+    counts = [
+        sum(1 for x in range(1 << h) if x.bit_count() & 1 and _least_in_class(x, h))
+        for h in range(2, 13, 2)
+    ]
+    assert counts == [1, 1, 4, 8, 28, 86]
 
 
 @pytest.mark.parametrize("limit", [0, -5])
