@@ -25,13 +25,16 @@ these maps keep every structured iota family and every kernel iota (proof
 in _orbit).  So _general scans only the rows a2 that are least in their
 class under rotation and complement, and _structured only the a1 that
 are; each row or a1 outside this set is an image of one inside.  The
-searches expand every hit of the quotient into its orbit (_orbit), derive
-b again for each image and build its codeword table, so dedup still sees
-every raw hit exactly once.  kernel_iota runs once per quotient hit and
-its iota is attached to every image.  search_k2 and search_general
-consume their generator completely; ito_scan takes the first hit of each,
-which is the smallest hit overall because the least word of an orbit
-lies in a quotient row (or has a quotient a1).  Search results are
+searches expand each hit of the quotient into its orbit (_expand): every
+image takes its b and its codeword set from the hit's b and table by
+sigma_s, without derive_b_bits or codeword_table, and an image and its
+complement share both.  So dedup still sees every raw hit exactly once.
+search_general expands each orbit from its first hit only; kernel_iota
+runs once per expanded hit and its iota is attached to every image.
+search_k2 and search_general consume their generator completely; ito_scan
+takes the first hit of each, which is the smallest hit overall because
+the least word of an orbit lies in a quotient row (or has a quotient
+a1).  Search results are
 deduplicated by codeword-set equality only and sorted by the a string, so
 the output is independent of the order in which candidates are visited.
 """
@@ -53,9 +56,9 @@ _CHUNK = 1 << 12
 
 
 def _sorted_unique(
-    hits: Iterable[tuple[TypeQCode, tuple[int, ...]]],
+    hits: Iterable[tuple[TypeQCode, Iterable[int]]],
 ) -> list[TypeQCode]:
-    """Deduplicate (code, codeword table) pairs by codeword set.
+    """Deduplicate (code, codewords) pairs by codeword set.
 
     Keeps the smallest a string per set.
     """
@@ -92,6 +95,17 @@ def _least_in_class(x: int, half: int) -> bool:
     return True
 
 
+def _sigma(words: Iterable[int], s: int, half: int) -> list[int]:
+    """sigma_s of each word (0 <= s <= half): half 1 rotated by +s, half 2 by -s."""
+    mask = (1 << half) - 1
+    t = half - s
+    return [
+        (w << s | (w & mask) >> t) & mask
+        | ((w >> (half + s) | (w >> half) << t) & mask) << half
+        for w in words
+    ]
+
+
 def _orbit(a: int, n: int) -> set[int]:
     """The distinct images of a under sigma_s (s < 2n) and the complement.
 
@@ -115,13 +129,50 @@ def _orbit(a: int, n: int) -> set[int]:
     so the k2 test of search_k2 gives the same verdict on every image.
     """
     half = 2 * n
-    mask = (1 << half) - 1
-    images = set()
-    for w in (a, a ^ ((1 << (2 * half)) - 1)):
-        lo, hi = w & mask, w >> half
-        for s in range(half):
-            images.add(rotl(lo, s, half) | (rotl(hi, -s, half) << half))
-    return images
+    u = (1 << (2 * half)) - 1
+    return {w for s in range(half) for w in _sigma((a, a ^ u), s, half)}
+
+
+def _expand(
+    a: int, b: int, table: tuple[int, ...], n: int
+) -> Iterator[tuple[int, int, frozenset[int]]]:
+    """(image, b, codeword set) for each image in _orbit(a, n), from one hit's table.
+
+    (a, b) is a hit, b = derive_b_bits(a, n) and table is
+    codeword_table(a, b, n).  No image calls derive_b_bits or
+    codeword_table; write sigma for sigma_s and u for the all-ones word.
+
+    L1. derive_b_bits(a + u) = derive_b_bits(a).  phi(u_h) = u_h, so d1 =
+        a1 + phi(a2) and d2 = a2 + phi(a1) do not change when both halves
+        are complemented, and neither do q1, q2 or their pairing.
+    L2. derive_b_bits(sigma a) is sigma b, or sigma b + u when bit 0 of
+        sigma b is set.  sigma commutes with pi_a and pi_b (see _orbit), so
+        sigma b solves the equations of sigma a; b is unique up to
+        complement, and derive_b_bits returns the one with bit 0 clear.
+    L3. codeword_table(sigma a, sigma b) is sigma applied to table word by
+        word, since sigma commutes with pi_a; with sigma b + u in place of
+        sigma b the a^i b half is rotated by 2n indices, since the word of
+        a^i (b + u) is that of a^(i+2n) b.  codeword_table(a + u, b) is
+        table with the words at odd indices complemented, since a + u =
+        a^(2n+1) and the word of a^(2n) g is u plus the word of g.
+
+    The codeword set is closed under complement (a^(2n) = u), so sigma a
+    and sigma a + u share one b (L1, L2) and one set, {sigma w : w in
+    table} (L3).  Images fixed by some sigma_s are yielded once.
+    """
+    half = 2 * n
+    u = (1 << (2 * half)) - 1
+    done: set[int] = set()
+    for s in range(half):
+        image, b_image = _sigma((a, b), s, half)
+        if image in done:
+            continue
+        done |= {image, image ^ u}
+        if b_image & 1:
+            b_image ^= u
+        words = frozenset(_sigma(table, s, half))
+        yield image, b_image, words
+        yield image ^ u, b_image, words
 
 
 def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
@@ -133,16 +184,18 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     both halves are odd, which for wt(a) = 2n means wt(a1) odd: the even
     a1 are skipped, and the power loop (power_words) runs before b is
     derived.  Every other verified candidate of an iota family is an image
-    of one yielded here under _orbit.
+    of one yielded here under _orbit.  The class representatives are
+    collected while iota 0 is walked and reused for the later iotas, so a
+    caller that stops at the first hit tests only the a1 before it.
     """
     half = 2 * n
-    quotient = [
-        a1
-        for a1 in range(1 << half)
-        if a1.bit_count() & 1 and _least_in_class(a1, half)
-    ]
+    quotient: list[int] = []
     for iota in range(half):
-        for a1 in quotient:
+        for a1 in quotient if iota else range(1 << half):
+            if not iota:
+                if not (a1.bit_count() & 1 and _least_in_class(a1, half)):
+                    continue
+                quotient.append(a1)
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
             words = kernels.power_words(a_bits, n)
             if words is None:
@@ -189,17 +242,17 @@ def search_k2(
     quotient candidate is tested once and decides for its whole orbit.
     """
     half = 2 * n
-    hits: list[tuple[TypeQCode, tuple[int, ...]]] = []
-    for iota, a_bits, _, words in _structured(n):
-        kernel, found_iota = kernel_iota(words, n)
+    hits: list[tuple[TypeQCode, frozenset[int]]] = []
+    for iota, a_bits, b_bits, table in _structured(n):
+        kernel, found_iota = kernel_iota(table, n)
         keep = found_iota == iota and kappa_vector(iota, n).bits in kernel
-        for image in sorted(_orbit(a_bits, n)):
-            b_bits = kernels.derive_b_bits(image, n)
+        if not keep and on_other is None:
+            continue
+        for image, b_image, words in _expand(a_bits, b_bits, table, n):
             if keep:
-                table = kernels.codeword_table(image, b_bits, n)
-                hits.append((_code(n, image, b_bits, iota), table))
-            elif on_other is not None:
-                on_other(_code(n, image, b_bits, None))
+                hits.append((_code(n, image, b_image, iota), words))
+            else:
+                on_other(_code(n, image, b_image, None))
     if progress is not None:
         progress(half << (half - 1), len(hits))
     return _sorted_unique(hits)
@@ -217,18 +270,19 @@ def search_general(
     has dimension 2.  With a limit, only the images below it are kept.
     """
     stop = _stop(n, limit)
-    hits: list[tuple[TypeQCode, tuple[int, ...]]] = []
+    hits: list[tuple[TypeQCode, frozenset[int]]] = []
     seen: set[int] = set()
     for covered, found in _general(n, stop):
         for a_bits, b_bits in found:
-            iota = kernel_iota(kernels.codeword_table(a_bits, b_bits, n), n)[1]
-            images = _orbit(a_bits, n) - seen
-            seen |= images
-            for image in images:
+            # seen holds whole orbits, so this hit's orbit is expanded already
+            if a_bits in seen:
+                continue
+            table = kernels.codeword_table(a_bits, b_bits, n)
+            iota = kernel_iota(table, n)[1]
+            for image, b_image, words in _expand(a_bits, b_bits, table, n):
+                seen.add(image)
                 if image < stop:
-                    b_image = kernels.derive_b_bits(image, n)
-                    table = kernels.codeword_table(image, b_image, n)
-                    hits.append((_code(n, image, b_image, iota), table))
+                    hits.append((_code(n, image, b_image, iota), words))
         if progress is not None:
             progress(covered, len(hits))
     return _sorted_unique(hits)

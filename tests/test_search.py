@@ -6,6 +6,7 @@ import pytest
 
 from hfpq import kernels, search
 from hfpq.analysis import analyze, kernel_iota, verify_hfp
+from hfpq.bitops import rotl
 from hfpq.core import (
     BinaryWord,
     GroupElement,
@@ -19,6 +20,8 @@ from hfpq.gf2poly import Gf2Poly, mul_by_x, phi1
 from hfpq.search import (
     ItoScanRow,
     _code,
+    _expand,
+    _general,
     _least_in_class,
     _orbit,
     _sorted_unique,
@@ -316,12 +319,90 @@ def _raw_hits(monkeypatch, run):
 
 
 def _assert_images_match_fresh(raw, n):
-    # every image carries its own b, its own table and its kernel's iota
+    # every image carries its own b, its own codeword set and its kernel's
+    # iota; the set is shared within a complement pair, so it is compared as
+    # a set here and index by index in _assert_tables_follow_sigma
     for code, words in raw:
         a_bits, b_bits = code.a_vec.bits, code.b_vec.bits
         assert b_bits == kernels.derive_b_bits(a_bits, n)
-        assert words == kernels.codeword_table(a_bits, b_bits, n)
-        assert code.iota == kernel_iota(words, n)[1]
+        fresh = kernels.codeword_table(a_bits, b_bits, n)
+        assert frozenset(words) == frozenset(fresh)
+        assert code.iota == kernel_iota(fresh, n)[1]
+
+
+def _sigma_ref(w, s, n):
+    """sigma_s through bitops.rotl: half 1 rotated by +s, half 2 by -s."""
+    half = 2 * n
+    mask = (1 << half) - 1
+    return rotl(w & mask, s, half) | rotl(w >> half, -s, half) << half
+
+
+# sigma_s is sigma_1 applied s times, sigma_1 commutes with the complement,
+# and the even-weight words and the raw hits are each closed under sigma_1.
+# So L2 and L3 for s = 1 on every word of such a set give them for every s
+# by induction: the complements picked up at each step add up.
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derive_b_under_complement_and_sigma(n):
+    # L1 and L2 of search._expand, for every even-weight a: b of a + u is
+    # b of a, and b of sigma_1 a is sigma_1 b with bit 0 cleared by the
+    # complement
+    u = (1 << (4 * n)) - 1
+    for a in range(1 << (4 * n)):
+        if a.bit_count() & 1:
+            continue
+        b = kernels.derive_b_bits(a, n)
+        assert kernels.derive_b_bits(a ^ u, n) == b
+        moved = _sigma_ref(b, 1, n)
+        if moved & 1:
+            moved ^= u
+        assert kernels.derive_b_bits(_sigma_ref(a, 1, n), n) == moved
+
+
+def _assert_tables_follow_sigma(a, b, n, shifts):
+    # L3 of search._expand, index by index, for the hit (a, b)
+    half, length = 2 * n, 4 * n
+    u = (1 << length) - 1
+    table = kernels.codeword_table(a, b, n)
+    assert kernels.codeword_table(a ^ u, b, n) == tuple(
+        w ^ u if i & 1 else w for i, w in enumerate(table)
+    )
+    for s in shifts:
+        image = _sigma_ref(a, s, n)
+        b_image = kernels.derive_b_bits(image, n)
+        moved = [_sigma_ref(w, s, n) for w in table]
+        if b_image != _sigma_ref(b, s, n):
+            moved[length:] = moved[length + half :] + moved[length : length + half]
+        assert kernels.codeword_table(image, b_image, n) == tuple(moved)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tables_follow_sigma_on_raw_hits(n):
+    for a, b in kernels.scan_general(n, 0, 1 << (4 * n)):
+        _assert_tables_follow_sigma(a, b, n, [1])
+
+
+def _quotient_hits(n):
+    """(a, b, table) of every hit of both quotient scans."""
+    for _, found in _general(n, 1 << (4 * n)):
+        for a, b in found:
+            yield a, b, kernels.codeword_table(a, b, n)
+    for _, a, b, table in _structured(n):
+        yield a, b, table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expand_yields_the_orbit(n):
+    # each image of _orbit exactly once, with one b and one set per pair
+    u = (1 << (4 * n)) - 1
+    for a, b, table in _quotient_hits(n):
+        out = list(_expand(a, b, table, n))
+        images = [image for image, _, _ in out]
+        assert len(images) == len(set(images))
+        assert set(images) == _orbit(a, n)
+        for (x, bx, wx), (y, by, wy) in zip(out[::2], out[1::2]):
+            assert y == x ^ u and by == bx and wy is wx
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -339,10 +420,11 @@ GENERAL_5_DIGEST = "f0422d701965415282d3044e28c3b6360ceb0b68875b4e7118c8a60c6b78
 
 def test_general_orbit_closure_is_full_scan_n5(monkeypatch, general_hits_5):
     raw = _raw_hits(monkeypatch, lambda: search_general(5))
-    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == (
-        kernels.scan_general(5, 0, 1 << 20)
-    )
+    full_scan = kernels.scan_general(5, 0, 1 << 20)
+    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == full_scan
     _assert_images_match_fresh(raw, 5)
+    for a, b in full_scan:
+        _assert_tables_follow_sigma(a, b, 5, [1])
     a_strings = "\n".join(c.a_vec.to_string() for c in general_hits_5)
     assert hashlib.sha256(a_strings.encode("ascii")).hexdigest() == GENERAL_5_DIGEST
 
@@ -352,6 +434,9 @@ def test_structured_images_carry_kernel_iota(monkeypatch, n):
     raw = _raw_hits(monkeypatch, lambda: search_k2(n))
     assert len(raw) == {4: 512, 6: 3456}.get(n, 0)
     _assert_images_match_fresh(raw, n)
+    # the quotient hits alone are not closed under sigma_1: every s
+    for _, a, b, _ in _structured(n):
+        _assert_tables_follow_sigma(a, b, n, range(2 * n))
 
 
 def test_quotient_sizes():
