@@ -5,10 +5,9 @@ from __future__ import annotations
 from .kernels_py import (
     check_candidate,
     codeword_table,
-    coset_words,
     derive_a2_bits,
     derive_b_bits,
-    power_words,
+    powers_ok,
     scan_general,
 )
 

@@ -8,9 +8,45 @@ of a^i at index i and of a^i b at index 4n+i.
 Lemma (parity of a^(2n)): per half h, a^k = sum_{j<k} x^j a_h in
 GF(2)[x]/(x^(2n)-1), and sum_{j<2n} x^j = u_h, so a^(2n) = wt(a_h) u_h.
 Hence a^(2n) = u iff both halves have odd weight; for wt(a) = 2n that is
-wt(a1) odd.  scan_general enumerates only those words and runs the a-only
-power_words before deriving b; check_candidate is power_words followed by
-coset_words.
+wt(a1) odd.  scan_general enumerates only those words.
+
+Theorem (the powers of a decide).  (a, b) is a type-Q HFP code (the
+relations a^(2n) = u, b^2 = u, b a = a^-1 b hold as words, the 8n words
+are distinct and all but e and u have weight 2n) iff a^(2n) = u,
+wt(a^i) = 2n for 0 < i < 2n, and b is b* or b* + u, b* = derive_b_bits(a).
+
+Proof.  Words multiply as pairs (x, pi)(y, s) = (x + pi y, pi s); let
+A = (a, pi_a) and B = (b, pi_b), with pi_a^(2n) = pi_b^2 = id and
+pi_b pi_a pi_b = pi_a^-1.  Write w(g) for the word of g.
+
+1. Given a^(2n) = u: b^2 = u and b a = a^-1 b hold iff b is b* or b* + u.
+   A^(2n) = (u, id), so A^(4n) = 1 and A^-1 = (pi_a^-1 a, pi_a^-1).  The
+   permutations of B A and A^-1 B agree, and their words agree iff
+   b + pi_b a = pi_a^-1 (a + b), i.e. (apply pi_a) iff per half h
+   (x+1) b_h = a_h + x rev(a_h'), h' the other half: the equation that
+   derive_b_bits solves.  (x+1) p = 0 only for p in {0, u_h}, so each half
+   has the two solutions q_h, q_h + u_h.  b^2 = u reads b1 + rev(b2) = u1,
+   and rev(q2) is q1 or q1 + u1, so it keeps exactly the pairing that
+   derive_b_bits picks and its complement: b* and b* + u.
+2. Given the relations, von Dyck maps the type-Q group Q = <a, b | a^(4n),
+   b^2 = a^(2n), b^-1 a b = a^-1> homomorphically onto <A, B>, and
+   codeword_table lists w(a^i) and w(a^i b).  So:
+   (a) A^(2n+i) = (u + w(a^i), pi_a^i): wt(a^(2n+i)) = 4n - wt(a^i), and
+       the powers past a^(2n) need no check.
+   (b) g = a^i b has g^2 = b^2 = a^(2n) in Q, whose image is (u, id).
+       So w(g) + pi_g w(g) = u and pi_g^2 = id, where pi_g = pi_a^i pi_b
+       has no fixed point (verify_hfp).  So w(g) has exactly one 1 on
+       each of the 2n 2-cycles of pi_g: wt(a^i b) = 2n, b included.
+   (c) If w(g) = w(h) with g != h, then w(h^-1 g) = pi_h^-1 (w(h) + w(g))
+       = 0.  Yet h^-1 g != e, so its word is u, or has weight 2n by the
+       checked powers, (a) and (b).  So the 8n words are distinct.
+Conversely an HFP code has a^(2n) = u and the weights of its powers, and
+its b is b* or b* + u by 1.  []
+
+So the scans decide on a alone (powers_ok) and complete every survivor
+with b*, and check_candidate is powers_ok, the test b in {b*, b* + u} and
+codeword_table.  tests/test_kernels.py checks the theorem exhaustively at
+small n.
 """
 
 from __future__ import annotations
@@ -45,91 +81,26 @@ def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def power_words(a: int, n: int) -> list[int] | None:
-    """The a-only half of check_candidate: words of a^0..a^(4n-1), or None.
+def powers_ok(a: int, n: int) -> bool:
+    """Whether wt(a^i) = 2n for 0 < i < 2n and a^(2n) = u.
 
-    Accepts iff a has weight 2n, a^(2n) = u and every other power a^i
-    (0 < i < 4n) has weight 2n.  The result has length 8n; indices 4n and
-    up are left for coset_words to fill.
+    This decides whether a generates a type-Q code (module docstring);
+    a^(2n+i) = u + a^i, so the powers past a^(2n) are not visited.
     """
     half = 2 * n
-    length = 4 * n
     mask = (1 << half) - 1
     shift = half - 1
-    u = (1 << length) - 1
-    if a.bit_count() != half:
-        return None
-    words = [0]
-    v = 0
-    for i in range(1, length):
+    v = a
+    for _ in range(1, half):
+        if v.bit_count() != half:
+            return False
         lo = v & mask
         hi = v >> half
         v = a ^ (
             (((lo << 1) | (lo >> shift)) & mask)
             | ((((hi << 1) | (hi >> shift)) & mask) << half)
         )
-        if i == half:
-            if v != u:
-                return None
-        elif v.bit_count() != half:
-            return None
-        words.append(v)
-    words += [0] * length
-    return words
-
-
-def coset_words(words: list[int], a: int, b: int, n: int) -> tuple[int, ...] | None:
-    """The b half of check_candidate, given power_words(a, n): the full table or None.
-
-    Accepts iff b has weight 2n, b^2 = u, b a = a^{-1} b as words, every
-    word a^i b has weight 2n and all 8n words are distinct.  Fills
-    words[4n:] in place.
-    """
-    half = 2 * n
-    length = 4 * n
-    mask = (1 << half) - 1
-    shift = half - 1
-    u = (1 << length) - 1
-    if b.bit_count() != half:
-        return None
-    if b ^ reverse_bits(b, length) != u:
-        return None
-    # b * a must equal a^{4n-1} * b; pi_a^{4n-1} rotates each half right by 1.
-    lo = b & mask
-    hi = b >> half
-    b_rot_back = ((lo >> 1) | ((lo & 1) << shift)) | (
-        (((hi >> 1) | ((hi & 1) << shift))) << half
-    )
-    if b ^ reverse_bits(a, length) != words[length - 1] ^ b_rot_back:
-        return None
-    rb = b
-    for i in range(length):
-        w = words[i] ^ rb
-        if w.bit_count() != half:
-            return None
-        words[length + i] = w
-        lo = rb & mask
-        hi = rb >> half
-        rb = (((lo << 1) | (lo >> shift)) & mask) | (
-            (((hi << 1) | (hi >> shift)) & mask) << half
-        )
-    if len(set(words)) != 2 * length:
-        return None
-    return tuple(words)
-
-
-def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
-    """codeword_table(a, b, n) if (a, b) yields a type-Q HFP code, else None.
-
-    Accepts iff a has order 4n with a^{2n} = u, b^2 = u, b a = a^{-1} b as
-    words, all 8n words are distinct, and every word outside {e, u} has
-    weight 2n (which makes the code Hadamard).  The a-only conditions are
-    power_words, the rest coset_words.
-    """
-    words = power_words(a, n)
-    if words is None:
-        return None
-    return coset_words(words, a, b, n)
+    return v == (1 << (2 * half)) - 1
 
 
 def derive_b_bits(a: int, n: int) -> int | None:
@@ -161,6 +132,20 @@ def derive_b_bits(a: int, n: int) -> int | None:
     return q1 | (q2 << half)
 
 
+def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
+    """codeword_table(a, b, n) if (a, b) yields a type-Q HFP code, else None.
+
+    By the theorem of the module docstring that is exactly when
+    powers_ok(a, n) holds and b is derive_b_bits(a, n) or its complement.
+    """
+    if not powers_ok(a, n):
+        return None
+    b_star = derive_b_bits(a, n)
+    if b not in (b_star, b_star ^ ((1 << (4 * n)) - 1)):
+        return None
+    return codeword_table(a, b, n)
+
+
 def derive_a2_bits(a1: int, iota: int, n: int) -> int:
     """Second half from the first: a2(x) = x^(iota+1) phi1(a1(x)) + u(x)."""
     half = 2 * n
@@ -187,8 +172,8 @@ def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
     Visits only the words with wt(a1) odd and wt(a2) = 2n - wt(a1), row by
     row over a2 and, inside a row, through a1 of one weight by Gosper's
     successor.  Every other word fails check_candidate: by weight, or by
-    a^(2n) = u (module docstring).  The b word is derived only for the
-    words whose powers pass.
+    a^(2n) = u (module docstring).  A word is a hit iff powers_ok passes,
+    and its b is derive_b_bits(a, n) (module docstring).
     """
     half = 2 * n
     full = 1 << half
@@ -207,12 +192,9 @@ def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
         a1 = first_of_weight(max(start - base, 0), half - w2)
         while a1 < end:
             a = base | a1
-            words = power_words(a, n)
-            if words is not None:
+            if powers_ok(a, n):
                 # wt(a) = 2n, so derive_b_bits never returns None here
-                b = derive_b_bits(a, n)
-                if coset_words(words, a, b, n) is not None:
-                    hits.append((a, b))
+                hits.append((a, derive_b_bits(a, n)))
             low = a1 & -a1
             ripple = a1 + low
             a1 = (((ripple ^ a1) >> 2) // low) | ripple

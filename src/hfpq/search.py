@@ -7,17 +7,15 @@ Each candidate family is enumerated by one generator:
 - _general(n, stop): the generator words a in the rows a2 below stop, in
   steps of whole rows; yields the scan kernel's hits of each step.
 
-Candidates are pruned by necessary conditions on a alone before b is
-derived:
+Candidates are decided on a alone (the theorem of kernels_py):
 
-- the parity lemma (kernels_py): a^(2n) = u iff both halves of a have odd
-  weight, so the general scan visits only words of weight 2n with wt(a1)
-  odd, and every structured a satisfies it by construction;
-- the power loop (power_words): weight 2n at every other power of a,
-  which rejects most of the remaining words at a^2.
+- the parity lemma: a^(2n) = u iff both halves of a have odd weight, so
+  the general scan visits only words of weight 2n with wt(a1) odd, and
+  every structured a satisfies it by construction;
+- the power loop (powers_ok): weight 2n at a, ..., a^(2n-1), which
+  rejects most of the remaining words at a^2.
 
-Only the survivors get derive_b_bits and the b-part of the check
-(coset_words).
+Every survivor is a hit, completed with b = derive_b_bits(a).
 
 Both generators scan a quotient.  The raw hits are closed under sigma_s
 (rotate half 1 by +s and half 2 by -s) and the complement a -> a + u, and
@@ -182,11 +180,12 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     candidate has weight 2n and derive_b_bits always finds b.  Per half,
     a^(2n) = sum_{j<2n} x^j a_h = wt(a_h) u_h, so a^(2n) = u exactly when
     both halves are odd, which for wt(a) = 2n means wt(a1) odd: the even
-    a1 are skipped, and the power loop (power_words) runs before b is
-    derived.  Every other verified candidate of an iota family is an image
-    of one yielded here under _orbit.  The class representatives are
-    collected while iota 0 is walked and reused for the later iotas, so a
-    caller that stops at the first hit tests only the a1 before it.
+    a1 are skipped.  By the theorem of kernels_py, a candidate is verified
+    iff powers_ok passes, with b = derive_b_bits(a) and words its
+    codeword_table.  Every other verified candidate of an iota family is
+    an image of one yielded here under _orbit.  The class representatives
+    are collected while iota 0 is walked and reused for the later iotas,
+    so a caller that stops at the first hit tests only the a1 before it.
     """
     half = 2 * n
     quotient: list[int] = []
@@ -197,13 +196,9 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
                     continue
                 quotient.append(a1)
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
-            words = kernels.power_words(a_bits, n)
-            if words is None:
-                continue
-            b_bits = kernels.derive_b_bits(a_bits, n)
-            table = kernels.coset_words(words, a_bits, b_bits, n)
-            if table is not None:
-                yield iota, a_bits, b_bits, table
+            if kernels.powers_ok(a_bits, n):
+                b_bits = kernels.derive_b_bits(a_bits, n)
+                yield iota, a_bits, b_bits, kernels.codeword_table(a_bits, b_bits, n)
 
 
 def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:

@@ -151,30 +151,21 @@ def d1_representative(code: TypeQCode, g: GroupElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class CoordinateIndex:
-    """Row and transpose-view labels of the normalized Hadamard matrix.
+    """Row labels of the normalized Hadamard matrix.
 
     row_order lists the D1 representatives of e, a^-1, ..., a^-(2n-1),
     ab, ..., a^(2n) b; these label both the rows and the coordinates.
-    col_order lists the D1 representatives of e, a, ..., a^(2n-1),
-    ab, ..., a^(2n) b, labelling the columns read as transpose-code words.
     """
 
     n: int
     row_order: tuple[GroupElement, ...]
-    col_order: tuple[GroupElement, ...]
 
 
 def coordinate_index(code: TypeQCode) -> CoordinateIndex:
     n = code.n
     rows = [GroupElement((-j) % (4 * n), False) for j in range(2 * n)]
     rows += [GroupElement(j, True) for j in range(1, 2 * n + 1)]
-    cols = [GroupElement(j, False) for j in range(2 * n)]
-    cols += [GroupElement(j, True) for j in range(1, 2 * n + 1)]
-    return CoordinateIndex(
-        n,
-        tuple(d1_representative(code, g) for g in rows),
-        tuple(d1_representative(code, g) for g in cols),
-    )
+    return CoordinateIndex(n, tuple(d1_representative(code, g) for g in rows))
 
 
 @dataclass(frozen=True)

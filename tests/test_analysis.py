@@ -123,11 +123,7 @@ def test_verify_hfp_tampered_weight(golden):
     bad_a = golden.a_vec ^ BinaryWord(1 << 2, 24)
     verdict = verify_hfp(TypeQCode(6, bad_a, golden.b_vec, None))
     assert not verdict.ok
-    assert verdict.failure in (
-        "WeightViolation",
-        "RelationViolation",
-        "DistinctnessViolation",
-    )
+    assert verdict.failure in ("WeightViolation", "RelationViolation")
 
 
 def test_verify_hfp_finds_weight_witness():

@@ -171,6 +171,28 @@ def test_analyze_non_code_exits_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+ODD_WEIGHT_FILE = "HFPQ v1\nn=2\na=10000000\n"
+MALFORMED_FILE = "HFPQ v1\nn=6\na=11111101101010100100000x\n"
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("transpose", ODD_WEIGHT_FILE, 1),
+    ("export", ODD_WEIGHT_FILE, 1),
+    ("transpose", MALFORMED_FILE, 2),
+    ("export", MALFORMED_FILE, 2),
+    ("double", MALFORMED_FILE, 2),
+], ids=["transpose-odd", "export-odd", "transpose-malformed", "export-malformed",
+        "double-malformed"])
+def test_transform_exit_codes(command, text, code, tmp_path, capsys):
+    path = tmp_path / "in.code"
+    path.write_text(text, encoding="ascii")
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 # kernel exponent 7 (iota=7 is right); the transposed example has kernel
 # dimension 1, so no iota is right for it
 @pytest.mark.parametrize("text", [

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
-from hfpq import kernels_py
+from hfpq import kernels, kernels_py
+from hfpq.analysis import verify_hfp
 from hfpq.bitops import reverse_bits, rot_halves
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
+from hfpq.typeq import TypeQCode
 
 
 def test_codeword_table_matches_perm_objects(golden):
@@ -142,12 +145,113 @@ def test_scan_general_n16_window_bounded_memory():
     assert hits == _brute_scan(16, start, start + 4096)
 
 
-def test_check_candidate_is_power_then_coset_words(golden):
+def test_check_candidate_is_powers_then_b_star(golden):
     a, b = golden.a_vec.bits, golden.b_vec.bits
-    words = kernels_py.power_words(a, 6)
-    assert words[:24] == list(kernels_py.codeword_table(a, b, 6)[:24])
-    assert kernels_py.coset_words(words, a, b, 6) == kernels_py.check_candidate(a, b, 6)
-    assert kernels_py.power_words(a ^ 1, 6) is None
+    u = (1 << 24) - 1
+    assert kernels_py.powers_ok(a, 6)
+    b_star = kernels_py.derive_b_bits(a, 6)
+    assert b in (b_star, b_star ^ u)
+    for b_bits in (b_star, b_star ^ u):
+        table = kernels_py.check_candidate(a, b_bits, 6)
+        assert table == kernels_py.codeword_table(a, b_bits, 6)
+    assert kernels_py.check_candidate(a, b_star ^ 1, 6) is None
+    assert not kernels_py.powers_ok(a ^ 1, 6)
+
+
+def _powers_4n(a, n):
+    """The full power loop: wt(a^i) = 2n for 0 < i < 4n, i != 2n, and a^(2n) = u."""
+    half = 2 * n
+    u = (1 << (2 * half)) - 1
+    v = 0
+    for i in range(1, 2 * half):
+        v = a ^ rot_halves(v, half)
+        if i == half:
+            if v != u:
+                return False
+        elif v.bit_count() != half:
+            return False
+    return True
+
+
+@functools.cache
+def _passing(n):
+    """Every a of length 4n that passes the full power loop."""
+    return [a for a in range(1 << (4 * n)) if _powers_4n(a, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_powers_ok_equals_full_power_loop(n):
+    # the powers past a^(2n) are u + the powers below it
+    passing = set(_passing(n))
+    for a in range(1 << (4 * n)):
+        assert kernels_py.powers_ok(a, n) == (a in passing)
+
+
+def _b_squared_u(n):
+    """Every b of length 4n with b^2 = u: b2 = rev(b1) + u."""
+    half = 2 * n
+    mask = (1 << half) - 1
+    return [b1 | ((reverse_bits(b1, half) ^ mask) << half) for b1 in range(1 << half)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_only_b_star_and_complement_pass(n):
+    # for each a passing the powers, of all b with b^2 = u exactly b* and
+    # b* + u are accepted, by check_candidate and by verify_hfp alike
+    length = 4 * n
+    u = (1 << length) - 1
+    bs = _b_squared_u(n)
+    assert all(b ^ reverse_bits(b, length) == u for b in bs)
+    for a in _passing(n):
+        b_star = kernels_py.derive_b_bits(a, n)
+        for b in bs:
+            accepted = b in (b_star, b_star ^ u)
+            assert (kernels_py.check_candidate(a, b, n) is not None) == accepted
+            code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b, length))
+            assert verify_hfp(code).ok == accepted
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_naive_realization_accepts_only_b_star_and_complement(n):
+    # the permutation-object route of test_search, over every b
+    from .test_search import _naive_realization
+
+    length = 4 * n
+    u = (1 << length) - 1
+    for a in _passing(n):
+        b_star = kernels_py.derive_b_bits(a, n)
+        accepted = {
+            b
+            for b in range(1 << length)
+            if _naive_realization(BinaryWord(a, length), BinaryWord(b, length), n)
+            is not None
+        }
+        assert accepted == {b_star, b_star ^ u}
+
+
+def _assert_hadamard_table(a, b, n):
+    half = 2 * n
+    table = kernels_py.codeword_table(a, b, n)
+    assert len(set(table)) == 8 * n
+    assert table[half] == (1 << (2 * half)) - 1
+    for i, w in enumerate(table):
+        if i not in (0, half):
+            assert w.bit_count() == half
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_star_table_is_hadamard(n):
+    # distinctness and the weights of the a^i b words, checked on the words
+    for a in _passing(n):
+        _assert_hadamard_table(a, kernels_py.derive_b_bits(a, n), n)
+
+
+def test_b_star_table_is_hadamard_n5():
+    hits = kernels.scan_general(5, 0, 1 << 20)
+    assert len(hits) == 2800
+    for a, b in hits:
+        assert b == kernels_py.derive_b_bits(a, 5)
+        _assert_hadamard_table(a, b, 5)
 
 
 def _reverse_by_bit(x: int, width: int) -> int:
