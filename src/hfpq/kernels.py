@@ -7,7 +7,7 @@ from .kernels_py import (
     codeword_table,
     derive_a2_bits,
     derive_b_bits,
-    powers_ok,
+    half_profile,
     scan_general,
 )
 

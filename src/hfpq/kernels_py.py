@@ -10,6 +10,17 @@ GF(2)[x]/(x^(2n)-1), and sum_{j<2n} x^j = u_h, so a^(2n) = wt(a_h) u_h.
 Hence a^(2n) = u iff both halves have odd weight; for wt(a) = 2n that is
 wt(a1) odd.  scan_general enumerates only those words.
 
+Lemma (half profiles).  The half h of a^k is S_k a_h, S_k = 1 + x + ... +
+x^(k-1), so wt(a^k) = wt(S_k a1) + wt(S_k a2): the halves evolve
+independently.  Call P(h) = (wt(S_k h))_{k=1..n} the profile of a
+half-word h (half_profile).  For odd h and 0 < i < 2n, S_(2n) = S_(2n-i) +
+x^(2n-i) S_i and S_(2n) h = u_h, so S_(2n-i) h is the complement of a
+rotation of S_i h and wt(S_(2n-i) h) = 2n - wt(S_i h).  So, given a^(2n) =
+u, wt(a^(2n-i)) = 4n - wt(a^i), and the weights of a^(n+1), ...,
+a^(2n-1) follow from those of a, ..., a^n.  Hence the conditions on the
+powers in the theorem below (a^(2n) = u, wt(a^i) = 2n for 0 < i < 2n)
+hold iff both halves are odd and P(a2) = 2n - P(a1) componentwise.
+
 Theorem (the powers of a decide).  (a, b) is a type-Q HFP code (the
 relations a^(2n) = u, b^2 = u, b a = a^-1 b hold as words, the 8n words
 are distinct and all but e and u have weight 2n) iff a^(2n) = u,
@@ -43,10 +54,11 @@ pi_b pi_a pi_b = pi_a^-1.  Write w(g) for the word of g.
 Conversely an HFP code has a^(2n) = u and the weights of its powers, and
 its b is b* or b* + u by 1.  []
 
-So the scans decide on a alone (powers_ok) and complete every survivor
-with b*, and check_candidate is powers_ok, the test b in {b*, b* + u} and
-codeword_table.  tests/test_kernels.py checks the theorem exhaustively at
-small n.
+So the scans decide on a alone (powers_ok: the parity of the halves and,
+by the half-profile lemma, the weights of a, ..., a^n) and complete every
+survivor with b*, and check_candidate is powers_ok, the test b in {b*,
+b* + u} and codeword_table.  tests/test_kernels.py checks the theorem
+exhaustively at small n.
 """
 
 from __future__ import annotations
@@ -81,17 +93,39 @@ def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-def powers_ok(a: int, n: int) -> bool:
-    """Whether wt(a^i) = 2n for 0 < i < 2n and a^(2n) = u.
+def half_profile(h: int, n: int) -> tuple[int, ...]:
+    """P(h) = (wt(S_k h)) for k = 1..n, S_k = 1 + x + ... + x^(k-1).
 
-    This decides whether a generates a type-Q code (module docstring);
-    a^(2n+i) = u + a^i, so the powers past a^(2n) are not visited.
+    h is a half-word of 2n bits; S_(k+1) h = h + x S_k h, one
+    rotate-and-xor per step.  a passes the powers iff both halves are odd
+    and P(a1) + P(a2) = 2n componentwise (module docstring).
     """
     half = 2 * n
     mask = (1 << half) - 1
     shift = half - 1
+    v = h
+    weights = [h.bit_count()]
+    for _ in range(1, n):
+        v = h ^ (((v << 1) | (v >> shift)) & mask)
+        weights.append(v.bit_count())
+    return tuple(weights)
+
+
+def powers_ok(a: int, n: int) -> bool:
+    """Whether a^(2n) = u and wt(a^i) = 2n for 0 < i < 2n.
+
+    This decides whether a generates a type-Q code (module docstring).
+    a^(2n) = u is the parity of the halves, and given it wt(a^(2n-i)) =
+    4n - wt(a^i) (the half-profile lemma), so only a, ..., a^n are
+    visited.
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    if not (a & mask).bit_count() & (a >> half).bit_count() & 1:
+        return False
+    shift = half - 1
     v = a
-    for _ in range(1, half):
+    for _ in range(1, n):
         if v.bit_count() != half:
             return False
         lo = v & mask
@@ -100,7 +134,7 @@ def powers_ok(a: int, n: int) -> bool:
             (((lo << 1) | (lo >> shift)) & mask)
             | ((((hi << 1) | (hi >> shift)) & mask) << half)
         )
-    return v == (1 << (2 * half)) - 1
+    return v.bit_count() == half
 
 
 def derive_b_bits(a: int, n: int) -> int | None:

@@ -4,16 +4,21 @@ Each candidate family is enumerated by one generator:
 
 - _structured(n): iota in [0, 2n), a1 of odd weight, a2 derived from a1
   and iota; yields the verified candidates in (iota, a1) order.
-- _general(n, stop): the generator words a in the rows a2 below stop, in
-  steps of whole rows; yields the scan kernel's hits of each step.
+- _general(n, stop): the generator words a in the rows a2 below stop, one
+  row per step; yields the hits of each row.
 
-Candidates are decided on a alone (the theorem of kernels_py):
+Candidates are decided on a alone (the theorem of kernels_py), through the
+half profiles P(h) = (wt(S_k h))_{k=1..n} of that module's lemma: a is a
+hit iff both halves of a are odd and P(a2) = 2n - P(a1) componentwise.
 
-- the parity lemma: a^(2n) = u iff both halves of a have odd weight, so
-  the general scan visits only words of weight 2n with wt(a1) odd, and
-  every structured a satisfies it by construction;
-- the power loop (powers_ok): weight 2n at a, ..., a^(2n-1), which
-  rejects most of the remaining words at a^2.
+- The general search over the whole space is a join (_row_hits): the
+  hits of a row a2 are the odd a1 whose profile is 2n - P(a2), looked up
+  in a table of a1 profiles built one weight class at a time.  A search
+  with a limit scans the words of each row instead
+  (kernels_py.scan_general: the parity lemma, then powers_ok per word).
+- In the structured family the profile of a2 follows from that of a1, so
+  whether a candidate verifies does not depend on iota (_settled), and
+  the family is empty for every odd n >= 3.
 
 Every survivor is a hit, completed with b = derive_b_bits(a).
 
@@ -40,6 +45,7 @@ the output is independent of the order in which candidates are visited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from . import kernels
@@ -49,8 +55,6 @@ from .core import BinaryWord
 from .typeq import TypeQCode, codeword_ints, kappa_vector
 
 Progress = Callable[[int, int], None]
-
-_CHUNK = 1 << 12
 
 
 def _sorted_unique(
@@ -173,54 +177,116 @@ def _expand(
         yield image ^ u, b_image, words
 
 
+def _settled(a1: int, n: int) -> bool:
+    """Whether the structured candidates of a1 verify, for every iota at once.
+
+    With a2 = x^(iota+1) phi1(a1) + u, phi1(p)(x) = p(x^-1): S_k is
+    palindromic, phi1(S_k) = x^-(k-1) S_k, so S_k phi1(a1) = x^(k-1)
+    phi1(S_k a1), and phi1 and the rotations keep weights.  S_k u_2 is u_2
+    for odd k and 0 for even k.  So wt(S_k a2) is wt(S_k a1) for even k and
+    2n - wt(S_k a1) for odd k, and wt(a^k) = wt(S_k a1) + wt(S_k a2) (the
+    half-profile lemma of kernels_py) is 2n at every odd k and 2 wt(S_k a1)
+    at every even k.  a2 has weight 2n - wt(a1), so both halves are odd iff
+    a1 is.  By the lemma the weights of a, ..., a^n decide, so the candidate
+    verifies iff wt(a1) is odd and wt(S_k a1) = n for every even k <= n: the
+    even-k columns of P(a1), whatever iota is.
+
+    (1 + x) a1 = S_2 a1 always has even weight, so for odd n >= 3 no a1
+    passes.  At n = 1 there is no even k <= n, and both odd a1 (1 and 2)
+    pass.
+    """
+    return bool(a1.bit_count() & 1) and all(
+        w == n for w in kernels.half_profile(a1, n)[1::2]
+    )
+
+
 def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     """Verified (iota, a, b, words) of the structured family, a1 least in its class.
 
     a2 = x^(iota+1) phi1(a1) + u has weight 2n - wt(a1), so every
-    candidate has weight 2n and derive_b_bits always finds b.  Per half,
-    a^(2n) = sum_{j<2n} x^j a_h = wt(a_h) u_h, so a^(2n) = u exactly when
-    both halves are odd, which for wt(a) = 2n means wt(a1) odd: the even
-    a1 are skipped.  By the theorem of kernels_py, a candidate is verified
-    iff powers_ok passes, with b = derive_b_bits(a) and words its
-    codeword_table.  Every other verified candidate of an iota family is
-    an image of one yielded here under _orbit.  The class representatives
-    are collected while iota 0 is walked and reused for the later iotas,
-    so a caller that stops at the first hit tests only the a1 before it.
+    candidate has weight 2n and derive_b_bits always finds b.  Whether a
+    candidate verifies depends on a1 alone (_settled), so the a1 are
+    settled once, while iota 0 is walked, and each later iota reuses them:
+    it only builds a2, b = derive_b_bits(a) and words = codeword_table(a,
+    b), and a caller that stops at the first hit settles only the a1
+    before it.  Every other verified candidate of an iota family is an
+    image of one yielded here under _orbit.  For odd n >= 3 the family is
+    empty (_settled), and nothing is walked.
     """
     half = 2 * n
-    quotient: list[int] = []
+    if n > 1 and n & 1:
+        return
+    verified: list[int] = []
     for iota in range(half):
-        for a1 in quotient if iota else range(1 << half):
+        for a1 in verified if iota else range(1 << half):
             if not iota:
-                if not (a1.bit_count() & 1 and _least_in_class(a1, half)):
+                if not (_settled(a1, n) and _least_in_class(a1, half)):
                     continue
-                quotient.append(a1)
+                verified.append(a1)
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
-            if kernels.powers_ok(a_bits, n):
-                b_bits = kernels.derive_b_bits(a_bits, n)
-                yield iota, a_bits, b_bits, kernels.codeword_table(a_bits, b_bits, n)
+            b_bits = kernels.derive_b_bits(a_bits, n)
+            yield iota, a_bits, b_bits, kernels.codeword_table(a_bits, b_bits, n)
+
+
+def _profile_class(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
+    """The half-words of weight w, in increasing order, keyed by profile."""
+    table: dict[tuple[int, ...], list[int]] = {}
+    for a1 in sorted(sum(1 << i for i in c) for c in combinations(range(2 * n), w)):
+        table.setdefault(kernels.half_profile(a1, n), []).append(a1)
+    return table
+
+
+def _row_hits(
+    a2: int, n: int, classes: dict[int, dict[tuple[int, ...], list[int]]]
+) -> list[tuple[int, int]]:
+    """The (a, b) hits of the odd row a2, a increasing, by the profile join.
+
+    a = a1 + x^(2n) a2 is a hit iff a1 is odd and P(a1) = 2n - P(a2) (the
+    half-profile lemma of kernels_py); the first column says wt(a1) = 2n -
+    wt(a2), so only that weight class of classes is looked up, and it is
+    built on first use.
+    """
+    half = 2 * n
+    w1 = half - a2.bit_count()
+    if w1 not in classes:
+        classes[w1] = _profile_class(w1, n)
+    key = tuple(half - w for w in kernels.half_profile(a2, n))
+    base = a2 << half
+    return [
+        (base | a1, kernels.derive_b_bits(base | a1, n))
+        for a1 in classes[w1].get(key, ())
+    ]
 
 
 def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(words covered so far, (a, b) hits below stop) per step of whole rows.
+    """(words covered so far, (a, b) hits below stop) per row a2, a2 increasing.
 
-    Scans the rows a2 of odd weight that are least in their class, up to
-    stop; a step is max(4096 words, one row).  Every hit below the covered
-    bound is found here or is an image of a hit found in an earlier row:
-    a row's class representative is at most the row.  Only the row
-    holding stop is cut short; its words below stop are all scanned, and
-    the other rows of its class lie above it.
+    Only the rows a2 of odd weight that are least in their class hold
+    hits.  Every hit below the covered bound is found here or is an image
+    of a hit found in an earlier row: a row's class representative is at
+    most the row.  Only the row holding stop is cut short; its words below
+    stop are all scanned, and the other rows of its class lie above it.
+
+    Over the whole space the rows are joined by profile (_row_hits); the
+    profile tables live as long as this generator.  Below a limit the
+    words of each row are scanned (kernels_py.scan_general), which is also
+    the oracle of the join.  A limit covers few rows, but the join profiles
+    the whole weight class of each row it meets, whatever the limit:
+    search_general(16, 2**40) covers only the rows a2 < 256, yet row 127
+    (weight 7) alone needs the C(32, 25) = 3.4M half-words of weight 25.
     """
     half = 2 * n
-    rows = max(_CHUNK >> half, 1)
-    last = (stop - 1) >> half
-    for first in range(0, last + 1, rows):
+    space = 1 << (2 * half)
+    classes: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    for a2 in range(((stop - 1) >> half) + 1):
+        end = min((a2 + 1) << half, stop)
         found: list[tuple[int, int]] = []
-        for a2 in range(first, min(first + rows, last + 1)):
-            if a2.bit_count() & 1 and _least_in_class(a2, half):
-                end = min((a2 + 1) << half, stop)
-                found += kernels.scan_general(n, a2 << half, end)
-        yield min((first + rows) << half, stop), found
+        if a2.bit_count() & 1 and _least_in_class(a2, half):
+            if stop == space:
+                found = _row_hits(a2, n, classes)
+            else:
+                found = kernels.scan_general(n, a2 << half, end)
+        yield end, found
 
 
 def search_k2(

@@ -181,10 +181,34 @@ def _passing(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_powers_ok_equals_full_power_loop(n):
-    # the powers past a^(2n) are u + the powers below it
+    # the powers past a^(2n) are u + the powers below it, and given
+    # a^(2n) = u the weights of a^(n+1), ..., a^(2n-1) follow from those of
+    # a, ..., a^n; verify_hfp, which stops at a^n too, agrees on every a
+    # with both halves odd, completed with b*
+    length = 4 * n
+    mask = (1 << (2 * n)) - 1
     passing = set(_passing(n))
-    for a in range(1 << (4 * n)):
+    for a in range(1 << length):
         assert kernels_py.powers_ok(a, n) == (a in passing)
+        if (a & mask).bit_count() & (a >> (2 * n)).bit_count() & 1:
+            b = kernels_py.derive_b_bits(a, n)
+            code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b, length))
+            assert verify_hfp(code).ok == (a in passing)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_half_profile_lemma(n):
+    # half 1 of the word of a^k is S_k h for a = h; for odd h, wt(S_(2n-i) h)
+    # = 2n - wt(S_i h)
+    half = 2 * n
+    mask = (1 << half) - 1
+    for h in range(1 << half):
+        table = kernels_py.codeword_table(h, 0, n)
+        weights = [(w & mask).bit_count() for w in table[:half]]
+        assert kernels_py.half_profile(h, n) == tuple(weights[1 : n + 1])
+        if h.bit_count() & 1:
+            for i in range(1, half):
+                assert weights[half - i] == half - weights[i]
 
 
 def _b_squared_u(n):

@@ -24,6 +24,8 @@ from hfpq.search import (
     _general,
     _least_in_class,
     _orbit,
+    _row_hits,
+    _settled,
     _sorted_unique,
     _stop,
     _structured,
@@ -33,7 +35,7 @@ from hfpq.search import (
 )
 from hfpq.typeq import TypeQCode, codeword_set
 
-from .test_kernels import _brute_scan
+from .test_kernels import _brute_scan, _powers_4n
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}
 EXPECTED_K2 = {1: 0, 2: 0, 3: 0, 4: 128, 5: 0, 6: 864}
@@ -220,9 +222,9 @@ def test_ito_scan_reference():
 
 
 def test_ito_scan_witnesses_are_first_hits():
-    # the first verified structured candidate (n = 1, 2, 4, 6), else the
-    # general hit of smallest a (n = 3, 5)
-    rows = ito_scan(6)
+    # the first verified structured candidate (n = 1, 2, 4, 6, 8), else the
+    # general hit of smallest a (n = 3, 5, 7)
+    rows = ito_scan(8)
     assert [r.witness.a_vec.to_string() for r in rows] == [
         "1001",
         "10000111",
@@ -230,8 +232,10 @@ def test_ito_scan_witnesses_are_first_hits():
         "1101000001111010",
         "11110111001010100000",
         "101001000000011111101101",
+        "1110101111010011100101000000",
+        "11010100010000000111111011101010",
     ]
-    assert [r.witness.iota for r in rows] == [None, None, None, 0, None, 0]
+    assert [r.witness.iota for r in rows] == [None, None, None, 0, None, 0, None, 0]
 
 
 def _assert_iota_matches_kernel(words, n):
@@ -261,6 +265,13 @@ def test_ito_scan_capped_is_unknown_never_false():
         assert row.exists is not False
         if row.witness is None:
             assert row.exists is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_limit_path_equals_join(n, general_hits, general_hits_5):
+    # a limit one below the space takes the word scan, no limit the join
+    joined = general_hits_5 if n == 5 else general_hits[n]
+    assert _summary(search_general(n, (1 << (4 * n)) - 1)) == _summary(joined)
 
 
 def test_progress_callback_invoked():
@@ -302,6 +313,53 @@ def test_structured_a_first_matches_b_first(n):
     everything = list(_structured_b_first(n))
     assert set(_structured(n)) <= set(everything)
     assert sorted(_expand_structured(n)) == sorted(everything)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_settled_is_the_power_test_of_every_iota(n):
+    # F2: the structured candidate of a1 verifies for every iota or for
+    # none, as _settled says; the full power loop is the oracle
+    half = 2 * n
+    settled = {a1 for a1 in range(1 << half) if _settled(a1, n)}
+    assert len(settled) == {1: 2, 2: 8, 3: 0, 4: 64, 5: 0, 6: 288}[n]
+    for a1 in range(1 << half):
+        for iota in range(half):
+            a = a1 | kernels.derive_a2_bits(a1, iota, n) << half
+            assert _powers_4n(a, n) == (a1 in settled), (a1, iota)
+
+
+def test_settled_n1_is_vacuous():
+    # no even k <= 1: both odd a1 pass, and the quotient a1 = 1 is yielded
+    # for each iota
+    assert [a1 for a1 in range(4) if _settled(a1, 1)] == [1, 2]
+    assert [(iota, a & 3) for iota, a, _, _ in _structured(1)] == [(0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_structured_odd_n_is_empty_at_once(monkeypatch, n):
+    def unreachable(*args):
+        raise AssertionError("an odd-n structured family was walked")
+
+    monkeypatch.setattr(kernels, "half_profile", unreachable)
+    assert list(_structured(n)) == []
+    assert search_k2(n) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_join_equals_word_scan(n):
+    # every quotient row of the join holds the word scan's hits of that
+    # row; up to n = 5 every odd row does, quotient or not
+    half = 2 * n
+    for a2, (end, found) in enumerate(_general(n, 1 << (4 * n))):
+        assert end == (a2 + 1) << half
+        quotient = a2.bit_count() & 1 and _least_in_class(a2, half)
+        assert found == (kernels.scan_general(n, a2 << half, end) if quotient else [])
+    if n <= 5:
+        classes = {}
+        for a2 in range(1, 1 << half):
+            if a2.bit_count() & 1:
+                row = kernels.scan_general(n, a2 << half, (a2 + 1) << half)
+                assert _row_hits(a2, n, classes) == row
 
 
 def _raw_hits(monkeypatch, run):
@@ -412,6 +470,13 @@ def test_general_orbit_closure_is_brute_scan(monkeypatch, n):
         n, 0, 1 << (4 * n)
     )
     _assert_images_match_fresh(raw, n)
+
+
+def test_search_general_n7(monkeypatch):
+    codes = []
+    raw = _raw_hits(monkeypatch, lambda: codes.extend(search_general(7)))
+    assert len(raw) == 22736
+    assert len(codes) == 11368
 
 
 # sha256 of the sorted a strings of search_general(5) before the quotient
