@@ -185,12 +185,12 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     """Propelinear + Hadamard verification of a type-Q candidate.
 
     Checks, in this order, the defining relations as words (a^(2n) = u,
-    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^n.  Given a^(2n) = u,
-    wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma), so a, ..., a^(2n-1)
-    all have weight 2n.  Given the relations these imply weight 2n at every
-    word outside {e, u} and the distinctness of the 8n words, which make the
-    code Hadamard (the theorem and its proof are in the kernels_py module
-    docstring).
+    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^(n-1).  Given
+    a^(2n) = u, wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the
+    half-profile lemma), so a, ..., a^(2n-1) all have weight 2n.  Given
+    the relations these imply weight 2n at every word outside {e, u} and
+    the distinctness of the 8n words, which make the code Hadamard (the
+    theorem and its proof are in the kernels_py module docstring).
 
     The permutation axioms depend on n alone, not on (a, b), so they are
     proved here once instead of checked per code.  Every pi_g is
@@ -217,7 +217,7 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     if b ^ reverse_bits(words[1], length) != words[4 * n + (4 * n - 1)]:
         return Verdict(False, "RelationViolation", "b a != a^{-1} b")
 
-    for i in range(1, n + 1):
+    for i in range(1, n):
         weight = words[i].bit_count()
         if weight != 2 * n:
             return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))

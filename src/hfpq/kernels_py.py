@@ -17,9 +17,13 @@ half-word h (half_profile).  For odd h and 0 < i < 2n, S_(2n) = S_(2n-i) +
 x^(2n-i) S_i and S_(2n) h = u_h, so S_(2n-i) h is the complement of a
 rotation of S_i h and wt(S_(2n-i) h) = 2n - wt(S_i h).  So, given a^(2n) =
 u, wt(a^(2n-i)) = 4n - wt(a^i), and the weights of a^(n+1), ...,
-a^(2n-1) follow from those of a, ..., a^n.  Hence the conditions on the
-powers in the theorem below (a^(2n) = u, wt(a^i) = 2n for 0 < i < 2n)
-hold iff both halves are odd and P(a2) = 2n - P(a1) componentwise.
+a^(2n-1) follow from those of a, ..., a^n.  The weight of a^n follows
+from the parity: S_(2n) = (1 + x^n) S_n, so for odd h, S_n h + x^n S_n h
+= u_h, S_n h is the complement of its own rotation by n, and wt(S_n h) =
+n.  So the k = n column of every odd profile is n, wt(a^n) = 2n, and the
+weights of a, ..., a^(n-1) decide.  Hence the conditions on the powers in
+the theorem below (a^(2n) = u, wt(a^i) = 2n for 0 < i < 2n) hold iff
+both halves are odd and P(a2) = 2n - P(a1) componentwise.
 
 Theorem (the powers of a decide).  (a, b) is a type-Q HFP code (the
 relations a^(2n) = u, b^2 = u, b a = a^-1 b hold as words, the 8n words
@@ -55,9 +59,9 @@ Conversely an HFP code has a^(2n) = u and the weights of its powers, and
 its b is b* or b* + u by 1.  []
 
 So the scans decide on a alone (powers_ok: the parity of the halves and,
-by the half-profile lemma, the weights of a, ..., a^n) and complete every
-survivor with b*, and check_candidate is powers_ok, the test b in {b*,
-b* + u} and codeword_table.  tests/test_kernels.py checks the theorem
+by the half-profile lemma, the weights of a, ..., a^(n-1)) and complete
+every survivor with b*, and check_candidate is powers_ok, the test b in
+{b*, b* + u} and codeword_table.  tests/test_kernels.py checks the theorem
 exhaustively at small n.
 """
 
@@ -98,7 +102,8 @@ def half_profile(h: int, n: int) -> tuple[int, ...]:
 
     h is a half-word of 2n bits; S_(k+1) h = h + x S_k h, one
     rotate-and-xor per step.  a passes the powers iff both halves are odd
-    and P(a1) + P(a2) = 2n componentwise (module docstring).
+    and P(a1) + P(a2) = 2n componentwise (module docstring).  For odd h
+    the k = n column is always n (module docstring), so it never decides.
     """
     half = 2 * n
     mask = (1 << half) - 1
@@ -115,26 +120,26 @@ def powers_ok(a: int, n: int) -> bool:
     """Whether a^(2n) = u and wt(a^i) = 2n for 0 < i < 2n.
 
     This decides whether a generates a type-Q code (module docstring).
-    a^(2n) = u is the parity of the halves, and given it wt(a^(2n-i)) =
-    4n - wt(a^i) (the half-profile lemma), so only a, ..., a^n are
-    visited.
+    a^(2n) = u is the parity of the halves, and given it wt(a^n) = 2n and
+    wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma), so only a, ...,
+    a^(n-1) are visited.
     """
     half = 2 * n
     mask = (1 << half) - 1
     if not (a & mask).bit_count() & (a >> half).bit_count() & 1:
         return False
     shift = half - 1
-    v = a
+    v = 0  # the word of a^0; each step gives a^k = a + pi_a a^(k-1)
     for _ in range(1, n):
-        if v.bit_count() != half:
-            return False
         lo = v & mask
         hi = v >> half
         v = a ^ (
             (((lo << 1) | (lo >> shift)) & mask)
             | ((((hi << 1) | (hi >> shift)) & mask) << half)
         )
-    return v.bit_count() == half
+        if v.bit_count() != half:
+            return False
+    return True
 
 
 def derive_b_bits(a: int, n: int) -> int | None:

@@ -29,17 +29,23 @@ in _orbit).  So _general scans only the rows a2 that are least in their
 class under rotation and complement, and _structured only the a1 that
 are; each row or a1 outside this set is an image of one inside.  The
 searches expand each hit of the quotient into its orbit (_expand): every
-image takes its b and its codeword set from the hit's b and table by
-sigma_s, without derive_b_bits or codeword_table, and an image and its
-complement share both.  So dedup still sees every raw hit exactly once.
-search_general expands each orbit from its first hit only; kernel_iota
-runs once per expanded hit and its iota is attached to every image.
-search_k2 and search_general consume their generator completely; ito_scan
-takes the first hit of each, which is the smallest hit overall because
-the least word of an orbit lies in a quotient row (or has a quotient
-a1).  Search results are
-deduplicated by codeword-set equality only and sorted by the a string, so
-the output is independent of the order in which candidates are visited.
+image takes its b and its dedup key from the hit's b and kernel by
+sigma_s, without derive_b_bits, codeword_table or kernel_ints, and an
+image and its complement share both.  So dedup still sees every raw hit
+exactly once.  search_general expands each orbit from its first hit
+only; kernel_iota runs once per expanded hit and its iota is attached to
+every image.  search_k2 and search_general consume their generator
+completely; ito_scan takes the first hit of each, which is the smallest
+hit overall because the least word of an orbit lies in a quotient row
+(or has a quotient a1).
+
+The key of a raw hit a is its kernel coset a + K(C), 2 or 4 words for a
+nonlinear code and C itself for the linear codes at n <= 2: the hits
+generating C are exactly a + K(C) (F3, proof in _expand).  The searches
+hold (n, a, b, iota, key) ints until dedup, which keeps the smallest a
+string per key and builds a TypeQCode only for it; the output is sorted
+by the a string, so it is independent of the order in which candidates
+are visited.
 """
 
 from __future__ import annotations
@@ -50,27 +56,28 @@ from typing import Callable, Iterable, Iterator
 
 from . import kernels
 from .analysis import kernel_iota
-from .bitops import rotl
+from .bitops import reverse_bits, rotl
 from .core import BinaryWord
 from .typeq import TypeQCode, codeword_ints, kappa_vector
 
 Progress = Callable[[int, int], None]
+# a raw hit: (n, a, b, iota, key)
+Hit = tuple[int, int, int, int | None, frozenset[int]]
 
 
-def _sorted_unique(
-    hits: Iterable[tuple[TypeQCode, Iterable[int]]],
-) -> list[TypeQCode]:
-    """Deduplicate (code, codewords) pairs by codeword set.
+def _sorted_unique(hits: Iterable[Hit]) -> list[TypeQCode]:
+    """Deduplicate raw hits by key: one code per key, sorted by a string.
 
-    Keeps the smallest a string per set.
+    Keeps the smallest a string per key; the a string compares as the int
+    reverse_bits(a, 4n).
     """
-    best: dict[frozenset[int], TypeQCode] = {}
-    for code, words in hits:
-        key = frozenset(words)
+    best: dict[frozenset[int], tuple[int, int, int, int, int | None]] = {}
+    for n, a, b, iota, key in hits:
+        order = reverse_bits(a, 4 * n)
         old = best.get(key)
-        if old is None or code.a_vec.to_string() < old.a_vec.to_string():
-            best[key] = code
-    return sorted(best.values(), key=lambda c: c.a_vec.to_string())
+        if old is None or order < old[0]:
+            best[key] = (order, n, a, b, iota)
+    return [_code(*hit[1:]) for hit in sorted(best.values())]
 
 
 def _code(n: int, a_bits: int, b_bits: int, iota: int | None) -> TypeQCode:
@@ -136,13 +143,15 @@ def _orbit(a: int, n: int) -> set[int]:
 
 
 def _expand(
-    a: int, b: int, table: tuple[int, ...], n: int
+    a: int, b: int, kernel: list[int], n: int
 ) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """(image, b, codeword set) for each image in _orbit(a, n), from one hit's table.
+    """(image, b, key) for each image in _orbit(a, n), from one hit's kernel.
 
-    (a, b) is a hit, b = derive_b_bits(a, n) and table is
-    codeword_table(a, b, n).  No image calls derive_b_bits or
-    codeword_table; write sigma for sigma_s and u for the all-ones word.
+    (a, b) is a hit, b = derive_b_bits(a, n) and kernel is K(C), the
+    kernel of the hit's code C.  The key of a is the coset a + K(C), which
+    identifies C (F3).  No image calls derive_b_bits, codeword_table or
+    kernel_ints; write sigma for sigma_s, u for the all-ones word, w(g)
+    for the word of g and S_k = 1 + x + ... + x^(k-1).
 
     L1. derive_b_bits(a + u) = derive_b_bits(a).  phi(u_h) = u_h, so d1 =
         a1 + phi(a2) and d2 = a2 + phi(a1) do not change when both halves
@@ -151,19 +160,49 @@ def _expand(
         sigma b is set.  sigma commutes with pi_a and pi_b (see _orbit), so
         sigma b solves the equations of sigma a; b is unique up to
         complement, and derive_b_bits returns the one with bit 0 clear.
-    L3. codeword_table(sigma a, sigma b) is sigma applied to table word by
-        word, since sigma commutes with pi_a; with sigma b + u in place of
-        sigma b the a^i b half is rotated by 2n indices, since the word of
-        a^i (b + u) is that of a^(i+2n) b.  codeword_table(a + u, b) is
-        table with the words at odd indices complemented, since a + u =
-        a^(2n+1) and the word of a^(2n) g is u plus the word of g.
+    F3. The hits whose code is C are exactly a + K(C).  If C is linear
+        (n <= 2), K(C) = C = a + K(C).  Otherwise K = K(C) has dimension 1
+        or 2 (the paper's theorem), n >= 3, and:
+        (subset) If a' is a hit with code C as well, left multiplication
+            by a and by a' maps C onto C, so a + pi_a C = C = a' + pi_a C.
+            So C + (a + a') = C, and a + a' is in K.
+        (superset) pi_a C = C + a, so pi_a K = K.  If K = {0, u}, a + u =
+            w(a^(2n+1)) is a hit with code C (_orbit).  Else K = {0, u, z,
+            z + u} and pi_a z is z or z + u.  pi_a z = z makes z constant
+            on each half, u1||0 or 0||u2; then every c in C outside K has
+            c + z in C, so wt(c) = wt(c + z) = 2n and c has half-weights
+            (n, n).  That fails on a (odd halves) or on a^2 (even halves,
+            (1 + x) a_h); neither is in K, which would then hold the words
+            of all their powers, more than 4.  So pi_a z = z + u: z = kappa
+            alternates on each half, and k <= s - 1 (the classify bound)
+            makes n even.  Per half x kappa = kappa + u, so S_k kappa =
+            k kappa + floor(k/2) u and w((a + kappa)^k) = w(a^k) + k kappa
+            + floor(k/2) u.  That is u at k = 2n.  For 0 < k < 2n it is
+            w(a^k) or its complement at even k; at odd k it is the codeword
+            w(a^k) + kappa or its complement, not 0 or u, else w(a^(2k)) =
+            w(a^k) + pi_a^k w(a^k) = kappa + pi_a^k kappa = u and k = n,
+            which is even.  So a + kappa passes the powers (kernels_py's
+            theorem).  derive_b_bits's equations are linear in a, and for
+            kappa their right sides kappa_h + phi(kappa_h') lie in {0, u_h}
+            (phi keeps an alternating half).  So b*(a + kappa) = b + beta
+            with each half of beta constant or alternating, and b^2 = u on
+            both gives beta1 = rev(beta2): beta is in {0, u} when kappa1 =
+            kappa2, else in {kappa, kappa + u}.  So (a + kappa) + pi_a C =
+            C and (b + beta) + pi_b C = C: the 8n words of a + kappa lie in
+            C, so its code is C, and so is that of a + kappa + u (_orbit).
+        So two hits share a key iff they share a code.  sigma is a
+        coordinate permutation that maps C onto the code of sigma a
+        (_orbit), so K(sigma C) = sigma K(C), and the key of sigma a is
+        sigma applied to a + K(C) word by word.  u is in K, so sigma a + u
+        has the same key.
 
-    The codeword set is closed under complement (a^(2n) = u), so sigma a
-    and sigma a + u share one b (L1, L2) and one set, {sigma w : w in
-    table} (L3).  Images fixed by some sigma_s are yielded once.
+    So sigma a and sigma a + u share one b (L1, L2) and one key.  Images
+    fixed by some sigma_s are yielded once.  tests/test_search.py checks
+    F3 exhaustively for n <= 6.
     """
     half = 2 * n
     u = (1 << (2 * half)) - 1
+    coset = [a ^ z for z in kernel]
     done: set[int] = set()
     for s in range(half):
         image, b_image = _sigma((a, b), s, half)
@@ -172,9 +211,9 @@ def _expand(
         done |= {image, image ^ u}
         if b_image & 1:
             b_image ^= u
-        words = frozenset(_sigma(table, s, half))
-        yield image, b_image, words
-        yield image ^ u, b_image, words
+        key = frozenset(_sigma(coset, s, half))
+        yield image, b_image, key
+        yield image ^ u, b_image, key
 
 
 def _settled(a1: int, n: int) -> bool:
@@ -289,31 +328,21 @@ def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
         yield end, found
 
 
-def search_k2(
-    n: int,
-    *,
-    progress: Progress | None = None,
-    on_other: Callable[[TypeQCode], None] | None = None,
-) -> list[TypeQCode]:
+def search_k2(n: int, *, progress: Progress | None = None) -> list[TypeQCode]:
     """Structured search: iota in [0, 2n), a1 of odd weight, a2 derived.
 
     Keeps candidates whose kernel has dimension exactly 2 with generator
-    matching the alternating pattern for iota; on_other receives verified
-    codes whose kernel disagrees (linear hits in particular).  Each
-    quotient candidate is tested once and decides for its whole orbit.
+    matching the alternating pattern for iota.  Each quotient candidate is
+    tested once and decides for its whole orbit.
     """
     half = 2 * n
-    hits: list[tuple[TypeQCode, frozenset[int]]] = []
+    hits: list[Hit] = []
     for iota, a_bits, b_bits, table in _structured(n):
         kernel, found_iota = kernel_iota(table, n)
-        keep = found_iota == iota and kappa_vector(iota, n).bits in kernel
-        if not keep and on_other is None:
+        if found_iota != iota or kappa_vector(iota, n).bits not in kernel:
             continue
-        for image, b_image, words in _expand(a_bits, b_bits, table, n):
-            if keep:
-                hits.append((_code(n, image, b_image, iota), words))
-            else:
-                on_other(_code(n, image, b_image, None))
+        for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
+            hits.append((n, image, b_image, iota, key))
     if progress is not None:
         progress(half << (half - 1), len(hits))
     return _sorted_unique(hits)
@@ -331,7 +360,7 @@ def search_general(
     has dimension 2.  With a limit, only the images below it are kept.
     """
     stop = _stop(n, limit)
-    hits: list[tuple[TypeQCode, frozenset[int]]] = []
+    hits: list[Hit] = []
     seen: set[int] = set()
     for covered, found in _general(n, stop):
         for a_bits, b_bits in found:
@@ -339,11 +368,11 @@ def search_general(
             if a_bits in seen:
                 continue
             table = kernels.codeword_table(a_bits, b_bits, n)
-            iota = kernel_iota(table, n)[1]
-            for image, b_image, words in _expand(a_bits, b_bits, table, n):
+            kernel, iota = kernel_iota(table, n)
+            for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
                 seen.add(image)
                 if image < stop:
-                    hits.append((_code(n, image, b_image, iota), words))
+                    hits.append((n, image, b_image, iota, key))
         if progress is not None:
             progress(covered, len(hits))
     return _sorted_unique(hits)

@@ -7,7 +7,7 @@ import pytest
 
 from hfpq import kernels, kernels_py
 from hfpq.analysis import verify_hfp
-from hfpq.bitops import reverse_bits, rot_halves
+from hfpq.bitops import reverse_bits, rot_halves, rotl
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
 from hfpq.typeq import TypeQCode
 
@@ -183,8 +183,9 @@ def _passing(n):
 def test_powers_ok_equals_full_power_loop(n):
     # the powers past a^(2n) are u + the powers below it, and given
     # a^(2n) = u the weights of a^(n+1), ..., a^(2n-1) follow from those of
-    # a, ..., a^n; verify_hfp, which stops at a^n too, agrees on every a
-    # with both halves odd, completed with b*
+    # a, ..., a^n, and wt(a^n) = 2n from the parity; verify_hfp, which
+    # stops at a^(n-1) too, agrees on every a with both halves odd,
+    # completed with b*
     length = 4 * n
     mask = (1 << (2 * n)) - 1
     passing = set(_passing(n))
@@ -209,6 +210,19 @@ def test_half_profile_lemma(n):
         if h.bit_count() & 1:
             for i in range(1, half):
                 assert weights[half - i] == half - weights[i]
+
+
+def test_odd_half_has_weight_n_at_s_n():
+    # S_(2n) = (1 + x^n) S_n, so for odd h, S_n h is the complement of its
+    # rotation by n and wt(S_n h) = n: the weight of a^n never decides
+    for n in range(1, 8):
+        half = 2 * n
+        for h in range(1 << half):
+            if h.bit_count() & 1:
+                s_n = 0
+                for j in range(n):
+                    s_n ^= rotl(h, j, half)
+                assert s_n.bit_count() == n, (n, h)
 
 
 def _b_squared_u(n):

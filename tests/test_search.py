@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from hfpq import kernels, search
-from hfpq.analysis import analyze, kernel_iota, verify_hfp
+from hfpq.analysis import analyze, kernel_iota, kernel_ints, verify_hfp
 from hfpq.bitops import rotl
 from hfpq.core import (
     BinaryWord,
@@ -19,14 +19,12 @@ from hfpq.core import (
 from hfpq.gf2poly import Gf2Poly, mul_by_x, phi1
 from hfpq.search import (
     ItoScanRow,
-    _code,
     _expand,
     _general,
     _least_in_class,
     _orbit,
     _row_hits,
     _settled,
-    _sorted_unique,
     _stop,
     _structured,
     ito_scan,
@@ -132,14 +130,19 @@ def test_search_k2_avoids_length12_and_20(k2_hits):
     assert k2_hits[5] == []
 
 
-def test_search_k2_reports_linear_candidates_separately():
-    other = []
-    hits = search_k2(2, on_other=other.append)
-    assert hits == []
-    assert len(other) == 32
-    for code in other:
-        rep = analyze(code)
+def test_search_k2_n2_candidates_are_linear():
+    # the 32 images of the structured candidates at n = 2 are linear codes
+    # with kernel dimension 4, so none has the iota kernel search_k2 keeps
+    images = [
+        (image, b_image)
+        for _, a, b, table in _structured(2)
+        for image, b_image, _ in _expand(a, b, kernel_ints(table), 2)
+    ]
+    assert len(images) == 32
+    for a, b in images:
+        rep = analyze(TypeQCode(2, BinaryWord(a, 8), BinaryWord(b, 8)))
         assert rep.is_linear and rep.kernel_dim == 4
+    assert search_k2(2) == []
 
 
 def test_search_k2_subset_of_general(general_hits, k2_hits):
@@ -163,11 +166,26 @@ def test_search_k2_kernel_structure(k2_hits):
         assert basis[1] == kappa_vector(code.iota, code.n)
 
 
+def _reference_unique(hits):
+    """Reference dedup of raw (n, a, b, iota) hits, by codeword set.
+
+    Keeps the smallest a string per codeword set and sorts by it; the
+    search's own dedup keys by kernel coset instead.
+    """
+    best = {}
+    for n, a, b, iota in hits:
+        code = TypeQCode(n, BinaryWord(a, 4 * n), BinaryWord(b, 4 * n), iota)
+        key = frozenset(kernels.codeword_table(a, b, n))
+        old = best.get(key)
+        if old is None or code.a_vec.to_string() < old.a_vec.to_string():
+            best[key] = code
+    return sorted(best.values(), key=lambda c: c.a_vec.to_string())
+
+
 def _codes_from(hits, n):
     """The search output built directly from raw (a, b) hits."""
-    tables = [(a, b, kernels.codeword_table(a, b, n)) for a, b in hits]
-    return _sorted_unique(
-        (_code(n, a, b, kernel_iota(words, n)[1]), words) for a, b, words in tables
+    return _reference_unique(
+        (n, a, b, kernel_iota(kernels.codeword_table(a, b, n), n)[1]) for a, b in hits
     )
 
 
@@ -175,15 +193,21 @@ def _summary(codes):
     return [(c.a_vec.bits, c.b_vec.bits, c.iota) for c in codes]
 
 
-# Limits inside rows and on row bounds.  Rows are 4, 16 and 64 words for
-# n = 1, 2, 3.  At n = 1 row 1 is fixed by complement-and-rotate; at n = 3
-# rows 7 and 21 are quotient rows with nontrivial stabilizers (21 = 010101
-# is periodic), and rows 11 and 42 are not in the quotient.
+# Limits inside rows and on row bounds.  Rows are 4, 16, 64 and 256 words
+# for n = 1, 2, 3, 4.  At n = 1 row 1 is fixed by complement-and-rotate; at
+# n = 3 rows 7 and 21 are quotient rows with nontrivial stabilizers (21 =
+# 010101 is periodic), and rows 11 and 42 are not in the quotient.  At
+# n = 4 the limits split the four-word kernel cosets of k = 2 codes:
+# A = {0x0b79, 0x5e2c, 0xa1d3, 0xf486} (smallest a string 0x5e2c) and
+# B = {0x0b2f, 0x5e85, 0xa17a, 0xf4d0} (smallest a string 0xf4d0).  0x5e2c
+# splits A 1 | 3, 0xa17a splits both 2 | 2 and 0xf4d0 splits B 3 | 1, and
+# each cuts off the smallest a string of A or B.
 LIMIT_CASES = [
     (1, 1), (1, 5), (1, 6), (1, 8), (1, 11),
     (2, 17), (2, 20), (2, 40), (2, 100), (2, 200),
     (3, 7 * 64), (3, 7 * 64 + 30), (3, 11 * 64 + 5), (3, 21 * 64 + 17),
     (3, 22 * 64), (3, 42 * 64 + 40), (3, 3001),
+    (4, 0x5E2C), (4, 0xA17A), (4, 0xF4D0),
 ]
 
 
@@ -363,13 +387,17 @@ def test_join_equals_word_scan(n):
 
 
 def _raw_hits(monkeypatch, run):
-    """Run a search and return the (code, words) pairs it deduplicates."""
+    """Run a search and return the raw hits (n, a, b, iota, key) it dedups.
+
+    The search returns _reference_unique of its raw hits in place of its
+    own dedup.
+    """
     raw = []
 
     def capture(hits):
         hits = list(hits)
         raw.extend(hits)
-        return _sorted_unique(hits)
+        return _reference_unique(hit[:4] for hit in hits)
 
     monkeypatch.setattr(search, "_sorted_unique", capture)
     run()
@@ -377,15 +405,14 @@ def _raw_hits(monkeypatch, run):
 
 
 def _assert_images_match_fresh(raw, n):
-    # every image carries its own b, its own codeword set and its kernel's
-    # iota; the set is shared within a complement pair, so it is compared as
-    # a set here and index by index in _assert_tables_follow_sigma
-    for code, words in raw:
-        a_bits, b_bits = code.a_vec.bits, code.b_vec.bits
+    # every image carries its own b, its kernel's iota and its own key, the
+    # coset a + K(C) of a kernel computed afresh
+    for hit_n, a_bits, b_bits, iota, key in raw:
+        assert hit_n == n
         assert b_bits == kernels.derive_b_bits(a_bits, n)
-        fresh = kernels.codeword_table(a_bits, b_bits, n)
-        assert frozenset(words) == frozenset(fresh)
-        assert code.iota == kernel_iota(fresh, n)[1]
+        kernel, fresh_iota = kernel_iota(kernels.codeword_table(a_bits, b_bits, n), n)
+        assert key == frozenset(a_bits ^ z for z in kernel)
+        assert iota == fresh_iota
 
 
 def _sigma_ref(w, s, n):
@@ -397,8 +424,9 @@ def _sigma_ref(w, s, n):
 
 # sigma_s is sigma_1 applied s times, sigma_1 commutes with the complement,
 # and the even-weight words and the raw hits are each closed under sigma_1.
-# So L2 and L3 for s = 1 on every word of such a set give them for every s
-# by induction: the complements picked up at each step add up.
+# So L2 of search._expand and the table map of search._orbit for s = 1 on
+# every word of such a set give them for every s by induction: the
+# complements picked up at each step add up.
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -419,7 +447,13 @@ def test_derive_b_under_complement_and_sigma(n):
 
 
 def _assert_tables_follow_sigma(a, b, n, shifts):
-    # L3 of search._expand, index by index, for the hit (a, b)
+    # search._orbit, index by index, for the hit (a, b): sigma maps the
+    # table of (a, b) onto that of (sigma a, sigma b), so the code of
+    # sigma a is sigma C, and the key of search._expand rests on it.  With
+    # sigma b + u in place of sigma b the a^i b half is rotated by 2n
+    # indices, since the word of a^i (b + u) is that of a^(i+2n) b; with
+    # a + u the words at odd indices are complemented, since a + u =
+    # a^(2n+1).
     half, length = 2 * n, 4 * n
     u = (1 << length) - 1
     table = kernels.codeword_table(a, b, n)
@@ -442,34 +476,66 @@ def test_tables_follow_sigma_on_raw_hits(n):
 
 
 def _quotient_hits(n):
-    """(a, b, table) of every hit of both quotient scans."""
+    """(a, b, kernel) of every hit of both quotient scans."""
     for _, found in _general(n, 1 << (4 * n)):
         for a, b in found:
-            yield a, b, kernels.codeword_table(a, b, n)
+            yield a, b, kernel_ints(kernels.codeword_table(a, b, n))
     for _, a, b, table in _structured(n):
-        yield a, b, table
+        yield a, b, kernel_ints(table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_expand_yields_the_orbit(n):
-    # each image of _orbit exactly once, with one b and one set per pair
+    # each image of _orbit exactly once, with one b and one key per pair
     u = (1 << (4 * n)) - 1
-    for a, b, table in _quotient_hits(n):
-        out = list(_expand(a, b, table, n))
+    for a, b, kernel in _quotient_hits(n):
+        out = list(_expand(a, b, kernel, n))
         images = [image for image, _, _ in out]
         assert len(images) == len(set(images))
         assert set(images) == _orbit(a, n)
-        for (x, bx, wx), (y, by, wy) in zip(out[::2], out[1::2]):
-            assert y == x ^ u and by == bx and wy is wx
+        for (x, bx, kx), (y, by, ky) in zip(out[::2], out[1::2]):
+            assert y == x ^ u and by == bx and ky == kx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_kernel_coset_is_the_set_of_generators(n):
+    # F3 of search._expand, over every raw hit: from n = 3 on the raw hits
+    # with a's codeword set C are exactly a + K(C), and K(C) is {0, u} or
+    # {0, u, kappa, kappa + u} with kappa alternating on each half; at
+    # n <= 2 the codes are linear and a + K(C) = C.  The raw hits are the
+    # profile join over every odd row, the word scan's equal (n <= 5).
+    half = 2 * n
+    mask = (1 << half) - 1
+    u = (1 << (2 * half)) - 1
+    alternating = {mask // 3, mask // 3 << 1}
+    classes = {}
+    generators = {}
+    for a2 in range(1 << half):
+        if a2.bit_count() & 1:
+            for a, b in _row_hits(a2, n, classes):
+                words = frozenset(kernels.codeword_table(a, b, n))
+                generators.setdefault(words, []).append(a)
+    for words, gens in generators.items():
+        kernel = kernel_ints(words)
+        for a in gens:
+            coset = {a ^ z for z in kernel}
+            assert coset == (words if n <= 2 else set(gens))
+        if n <= 2:
+            continue
+        kappa = kernel[1]
+        assert kernel in ([0, u], sorted({0, u, kappa, kappa ^ u}))
+        if len(kernel) == 4:
+            assert kappa & mask in alternating and kappa >> half in alternating
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_general_orbit_closure_is_brute_scan(monkeypatch, n):
-    raw = _raw_hits(monkeypatch, lambda: search_general(n))
-    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == _brute_scan(
-        n, 0, 1 << (4 * n)
-    )
+def test_general_orbit_closure_is_brute_scan(monkeypatch, general_hits, n):
+    codes = []
+    raw = _raw_hits(monkeypatch, lambda: codes.extend(search_general(n)))
+    assert sorted((a, b) for _, a, b, _, _ in raw) == _brute_scan(n, 0, 1 << (4 * n))
     _assert_images_match_fresh(raw, n)
+    # the kernel-coset dedup gives what the codeword-set dedup gives
+    assert _summary(general_hits[n]) == _summary(codes)
 
 
 def test_search_general_n7(monkeypatch):
@@ -477,6 +543,8 @@ def test_search_general_n7(monkeypatch):
     raw = _raw_hits(monkeypatch, lambda: codes.extend(search_general(7)))
     assert len(raw) == 22736
     assert len(codes) == 11368
+    monkeypatch.undo()
+    assert _summary(search_general(7)) == _summary(codes)
 
 
 # sha256 of the sorted a strings of search_general(5) before the quotient
@@ -484,10 +552,12 @@ GENERAL_5_DIGEST = "f0422d701965415282d3044e28c3b6360ceb0b68875b4e7118c8a60c6b78
 
 
 def test_general_orbit_closure_is_full_scan_n5(monkeypatch, general_hits_5):
-    raw = _raw_hits(monkeypatch, lambda: search_general(5))
+    codes = []
+    raw = _raw_hits(monkeypatch, lambda: codes.extend(search_general(5)))
     full_scan = kernels.scan_general(5, 0, 1 << 20)
-    assert sorted((c.a_vec.bits, c.b_vec.bits) for c, _ in raw) == full_scan
+    assert sorted((a, b) for _, a, b, _, _ in raw) == full_scan
     _assert_images_match_fresh(raw, 5)
+    assert _summary(general_hits_5) == _summary(codes)
     for a, b in full_scan:
         _assert_tables_follow_sigma(a, b, 5, [1])
     a_strings = "\n".join(c.a_vec.to_string() for c in general_hits_5)
@@ -495,10 +565,12 @@ def test_general_orbit_closure_is_full_scan_n5(monkeypatch, general_hits_5):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_structured_images_carry_kernel_iota(monkeypatch, n):
-    raw = _raw_hits(monkeypatch, lambda: search_k2(n))
+def test_structured_images_carry_kernel_iota(monkeypatch, k2_hits, n):
+    codes = []
+    raw = _raw_hits(monkeypatch, lambda: codes.extend(search_k2(n)))
     assert len(raw) == {4: 512, 6: 3456}.get(n, 0)
     _assert_images_match_fresh(raw, n)
+    assert _summary(k2_hits[n]) == _summary(codes)
     # the quotient hits alone are not closed under sigma_1: every s
     for _, a, b, _ in _structured(n):
         _assert_tables_follow_sigma(a, b, n, range(2 * n))
