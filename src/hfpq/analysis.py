@@ -12,6 +12,7 @@ from typing import Iterable
 
 from .bitops import reverse_bits
 from .core import BinaryWord, GroupElement, GroupTable, canonical_perm
+from .gf2poly import modulus_poly, poly_degree, poly_gcd, poly_mul
 from .typeq import TypeQCode, codeword_ints
 
 
@@ -64,22 +65,47 @@ def _insert_row(pivots: dict[int, int], w: int) -> bool:
 
 
 def rank_of_ints(words: Iterable[int]) -> int:
-    """GF(2) rank by elimination on int rows."""
+    """GF(2) rank by elimination on int rows; the tests check span_rank by it."""
     pivots: dict[int, int] = {}
     for w in words:
         _insert_row(pivots, w)
     return len(pivots)
 
 
-def compute_rank(codewords: Iterable[BinaryWord]) -> int:
-    """Dimension of the linear span of the codeword set."""
-    words = list(codewords)
-    if not words:
-        raise ValueError("empty codeword set")
-    length = words[0].length
-    if any(w.length != length for w in words):
-        raise ValueError("codewords of mixed lengths")
-    return rank_of_ints(w.bits for w in words)
+def span_rank(a: int, b: int, n: int) -> int:
+    """GF(2) rank of the words generated by (a, b): 4n - deg d2, one gcd.
+
+    With m = x^(2n) + 1 and R = GF(2)[x]/(m), a word of length 4n is a
+    pair (p1, p2) in R^2 (bit i of half h is the coefficient of x^i in
+    p_h), and pi_a multiplies both halves by x.  Write a = (a1, a2) and
+    b = (b1, b2).  Then
+
+        rank = 4n - deg gcd(a1 b2 + a2 b1, m gcd(a1, a2, b1, b2, m)).
+
+    Proof sketch, for any (a, b), verified or not.  The word table
+    (kernels_py.codeword_table) has w(a^k) = S_k a and
+    w(a^k b) = S_k a + x^k b, with S_k = 1 + x + ... + x^(k-1), so
+    S_(k+1) = 1 + x S_k.  S_1, ..., S_(2n) are unitriangular in
+    1, x, ..., x^(2n-1), so a, ..., a^(2n) span R a; then
+    w(a^i b) + w(a^i) = x^i b puts R b in the span, which is R a + R b.
+    Since S_(2n+i) = S_(2n) + S_i in R, the other 4n words lie in it
+    too: the 4n words a, ..., a^(2n), b, ..., a^(2n-1) b and all 8n
+    words span the same space.  R^2/(R a + R b) is GF(2)[x]^2/M, with M
+    generated by the rows (a1, a2), (b1, b2), (m, 0) and (0, m).  M has
+    rank 2, so by the Smith normal form the quotient is
+    GF(2)[x]/(e1) + GF(2)[x]/(e2), of dimension deg e1 e2 = deg d2,
+    where d2 is the gcd of the 2x2 minors: a1 b2 + a2 b1, m a1, m a2,
+    m b1, m b2 and m^2.  tests/test_analysis.py checks this against
+    rank_of_ints for every (a, b) at n <= 2.
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    a1, a2, b1, b2 = a & mask, a >> half, b & mask, b >> half
+    g = modulus_poly(half)
+    for p in (a1, a2, b1, b2):
+        g = poly_gcd(g, p)
+    minor = poly_mul(a1, b2) ^ poly_mul(a2, b1)
+    return 2 * half - poly_degree(poly_gcd((g << half) ^ g, minor))
 
 
 def kernel_ints(words: Iterable[int]) -> list[int]:
@@ -157,22 +183,6 @@ def kernel_by_automorphism(code: TypeQCode) -> tuple[int, list[BinaryWord]]:
     kernel.sort()
     dim, basis = _kernel_basis(kernel, code.length)
     return dim, [BinaryWord(b, code.length) for b in basis]
-
-
-def rank_via_generators(code: TypeQCode) -> int:
-    """Rank from the span {a, xa, ..., x^(2n-1)a, kappa}; needs kernel dim 2."""
-    from .bitops import rot_halves
-
-    words = codeword_ints(code)
-    kernel = kernel_ints(words)
-    length = code.length
-    u = (1 << length) - 1
-    if len(kernel) != 4:
-        raise ValueError("generator span shortcut requires kernel dimension 2")
-    kappa = next(z for z in kernel if z not in (0, u))
-    gens = [rot_halves(code.a_vec.bits, 2 * code.n, j) for j in range(2 * code.n)]
-    gens.append(kappa)
-    return rank_of_ints(gens)
 
 
 def is_linear_code(words: Iterable[int]) -> bool:
@@ -347,19 +357,16 @@ def classify(report: AnalysisReport) -> tuple[str, ...]:
 def analyze(code: TypeQCode) -> AnalysisReport:
     """Verify, then compute rank/kernel and check every applicable bound.
 
-    The rank is taken over the 4n words of a, ..., a^(2n) and
-    b, ..., a^(2n-1) b.  pi_(a^(2n)) = id, so the propelinear product gives
-    w(a^(2n) g) = w(a^(2n)) + w(g), which is u + w(g) on a verified code.
-    The word of e is 0, and every other word is one of the 4n plus
-    w(a^(2n)), itself one of them, so the span is the same.  The word
-    table is built by that product for any (a, b), so this needs no
-    verification.
+    The rank is span_rank(a, b, n): 4n minus the degree of one gcd in
+    GF(2)[x], with no elimination over the codewords.  The codewords span
+    R a + R b for R = GF(2)[x]/(x^(2n) + 1) acting on both halves at once,
+    for any (a, b), so this needs no verification (proof in span_rank).
     """
     words = codeword_ints(code)
     length = code.length
     n = code.n
     verdict = verify_hfp(code)
-    rank = rank_of_ints(words[1 : 2 * n + 1] + words[4 * n : 6 * n])
+    rank = span_rank(code.a_vec.bits, code.b_vec.bits, n)
     kernel = kernel_ints(words)
     dim, basis = _kernel_basis(kernel, length)
     s, n_prime = two_adic_split(length)

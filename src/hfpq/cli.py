@@ -225,7 +225,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 class _Progress:
     """Search progress on stderr: at most one line per second, then the last.
 
-    raw_hits counts verified hits before deduplication by codeword set.
+    raw_hits counts verified hits before deduplication by the kernel coset
+    a + K(C), one key per code.
     """
 
     def __init__(self, n: int) -> None:

@@ -180,11 +180,15 @@ class HadamardMatrixQ:
         return tuple(BinaryWord(r, self.order) for r in self.rows)
 
     def transposed_rows(self) -> tuple[int, ...]:
-        """Columns as ints (bit i of column j is bit j of row i), zipped
-        from the rows' bit strings read from bit 0, last row first."""
-        top = 1 << self.order
-        rows = [bin(row | top)[:2:-1] for row in reversed(self.rows)]
-        return tuple(int("".join(col), 2) for col in zip(*rows))
+        """Columns as ints (bit i of column j is bit j of row i).
+
+        The rows' bit strings, read from bit 0, are joined last row first;
+        column j is every order-th character from position j.
+        """
+        order = self.order
+        top = 1 << order
+        s = "".join(bin(row | top)[:2:-1] for row in reversed(self.rows))
+        return tuple(int(s[j::order], 2) for j in range(order))
 
 
 def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:

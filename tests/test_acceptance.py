@@ -16,7 +16,6 @@ from hfpq.analysis import (
     compute_kernel,
     kernel_by_automorphism,
     project_onto_support,
-    rank_via_generators,
     verify_hadamard_group,
     verify_hfp,
 )
@@ -40,6 +39,7 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_KAPPA
+from .oracles import rank_via_generators
 
 
 def _report(criterion: int, label: str, started: float) -> None:

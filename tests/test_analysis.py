@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,14 +12,14 @@ from hfpq.analysis import (
     analyze,
     classify,
     compute_kernel,
-    compute_rank,
     kernel_by_automorphism,
     project_onto_support,
     rank_of_ints,
-    rank_via_generators,
+    span_rank,
     verify_hadamard_group,
     verify_hfp,
 )
+from hfpq.bitops import rot_halves
 from hfpq.core import BinaryWord, GroupTable, type_q_table
 from hfpq.typeq import (
     TypeQCode,
@@ -30,6 +31,7 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_KAPPA
+from .oracles import compute_rank, rank_via_generators
 
 
 def _linear_hadamard_length8() -> list[BinaryWord]:
@@ -166,6 +168,45 @@ def test_analyze_rank_matches_all_words(
     codes += k2_hits[6] + [c for step in golden_chain for c in step]
     for code in codes:
         assert analyze(code).rank == rank_of_ints(codeword_ints(code))
+
+
+def _assert_span_rank(a: int, b: int, n: int) -> None:
+    # span_rank against elimination over the 4n words a, ..., a^(2n),
+    # b, ..., a^(2n-1) b and over all 8n words of the table, for any (a, b)
+    words = kernels_py.codeword_table(a, b, n)
+    rank = rank_of_ints(words)
+    assert rank_of_ints(words[1 : 2 * n + 1] + words[4 * n : 6 * n]) == rank
+    assert span_rank(a, b, n) == rank, (a, b, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_span_rank_every_pair(n):
+    for a in range(1 << (4 * n)):
+        for b in range(1 << (4 * n)):
+            _assert_span_rank(a, b, n)
+
+
+def test_span_rank_fixture_codes(general_hits, general_hits_5, k2_hits, golden_chain):
+    codes = [c for n in (1, 2, 3, 4) for c in general_hits[n]] + general_hits_5
+    codes += k2_hits[6] + [c for step in golden_chain for c in step]
+    for code in codes:
+        _assert_span_rank(code.a_vec.bits, code.b_vec.bits, code.n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 24])
+def test_span_rank_random_pairs(n):
+    rng = random.Random(n)
+    length = 4 * n
+    u = (1 << length) - 1
+    for _ in range(40 if n <= 8 else 10):
+        a = rng.getrandbits(length)
+        x_a = rot_halves(a, 2 * n, rng.randrange(2 * n))
+        for b in (rng.getrandbits(length), 0, a, u, a ^ u, x_a):
+            _assert_span_rank(a, b, n)
+        _assert_span_rank(0, rng.getrandbits(length), n)
+        h = rng.getrandbits(2 * n)
+        _assert_span_rank(h | h << (2 * n), rng.getrandbits(length), n)
+    _assert_span_rank(0, 0, n)
 
 
 def test_verify_hadamard_group_reference(golden):
