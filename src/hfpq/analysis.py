@@ -7,8 +7,7 @@ word in C the kernel is a subspace of C, so only codewords need testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bitops import reverse_bits
 from .core import BinaryWord, GroupElement, GroupTable, canonical_perm
@@ -24,8 +23,7 @@ class IndexingInconsistency(RuntimeError):
     """Self-check failure: derived data disagrees with the code's indexing."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an axiom check; witness points at the first violation."""
 
     ok: bool
@@ -296,8 +294,7 @@ def project_onto_support(
     return out
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Structural invariants of a code of length 4n = 2^s * n'."""
 
     length: int
@@ -388,5 +385,5 @@ def analyze(code: TypeQCode) -> AnalysisReport:
     if verdict.ok:
         violations = classify(report)
         if violations:
-            report = replace(report, bound_violations=violations)
+            report = report._replace(bound_violations=violations)
     return report

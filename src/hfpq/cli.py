@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import AnalysisReport, IndexingInconsistency, analyze, kernel_iota
 from .core import BinaryWord
@@ -54,8 +53,7 @@ class CodeFileError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class CodeFile:
+class CodeFile(NamedTuple):
     n: int
     a: BinaryWord
     b: BinaryWord | None

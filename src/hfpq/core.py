@@ -13,22 +13,32 @@ positions are pi_a = (1,...,2n)(2n+1,...,4n) and pi_b = (1,4n)(2,4n-1)...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class BinaryWord:
-    """Fixed-length bit vector over GF(2); positions are 1-based externally."""
-
+# A validated value type is a NamedTuple of its fields plus a subclass whose
+# __new__ checks them: typing.NamedTuple forbids __new__ and _make in its own
+# body.  The subclass's _make calls cls(...), so _replace checks too.
+class _BinaryWordFields(NamedTuple):
     bits: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.length <= 0:
+
+class BinaryWord(_BinaryWordFields):
+    """Fixed-length bit vector over GF(2); positions are 1-based externally."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, length: int) -> "BinaryWord":
+        if length <= 0:
             raise ValueError("word length must be positive")
-        if self.bits >> self.length:
+        if bits >> length:
             raise ValueError("bits exceed word length")
+        return tuple.__new__(cls, (bits, length))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "BinaryWord":
+        return cls(*iterable)
 
     @classmethod
     def zero(cls, length: int) -> "BinaryWord":
@@ -74,15 +84,26 @@ class BinaryWord:
         return BinaryWord(self.bits ^ other.bits, self.length)
 
 
-@dataclass(frozen=True)
-class Perm:
-    """Permutation of coordinate positions; images[i] = pi(i), 0-based."""
-
+class _PermFields(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+
+class Perm(_PermFields):
+    """Permutation of coordinate positions; images[i] = pi(i), 0-based.
+
+    len() is the number of positions, not the number of fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]) -> "Perm":
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection of 0..L-1")
+        return tuple.__new__(cls, (images,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Perm":
+        return cls(*iterable)
 
     @classmethod
     def identity(cls, length: int) -> "Perm":
@@ -153,8 +174,7 @@ def prop_mul(x: BinaryWord, pi_x: Perm, y: BinaryWord) -> BinaryWord:
     return x ^ apply_perm(pi_x, y)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Normal form a^exp_a * b^has_b of the type-Q group."""
 
     exp_a: int
@@ -248,18 +268,26 @@ def canonical_perm(g: GroupElement, n: int) -> Perm:
     return Perm(tuple(images))
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Multiplication table of a finite group; entries are element indices."""
-
+class _GroupTableFields(NamedTuple):
     mul: tuple[tuple[int, ...], ...]
     identity: int
 
-    def __post_init__(self) -> None:
-        m = len(self.mul)
-        for row in self.mul:
+
+class GroupTable(_GroupTableFields):
+    """Multiplication table of a finite group; entries are element indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, mul: tuple[tuple[int, ...], ...], identity: int) -> "GroupTable":
+        m = len(mul)
+        for row in mul:
             if len(row) != m:
                 raise ValueError("multiplication table is not square")
+        return tuple.__new__(cls, (mul, identity))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GroupTable":
+        return cls(*iterable)
 
     @property
     def order(self) -> int:

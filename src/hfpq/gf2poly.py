@@ -7,7 +7,7 @@ reversal map phi sends x^i to x^(m-1-i); inflate substitutes x -> x^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .bitops import div_x_plus_1, reverse_bits, rotl
 
@@ -62,18 +62,27 @@ def modulus_poly(m: int) -> int:
 X_PLUS_1 = 0b11
 
 
-@dataclass(frozen=True)
-class Gf2Poly:
-    """Residue in GF(2)[x]/(x^m - 1); coeffs bit i = coefficient of x^i."""
-
+# validated like core.BinaryWord: fields here, checks in the subclass
+class _Gf2PolyFields(NamedTuple):
     coeffs: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.m <= 0:
+
+class Gf2Poly(_Gf2PolyFields):
+    """Residue in GF(2)[x]/(x^m - 1); coeffs bit i = coefficient of x^i."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: int, m: int) -> "Gf2Poly":
+        if m <= 0:
             raise ValueError("modulus degree must be positive")
-        if self.coeffs >> self.m:
+        if coeffs >> m:
             raise ValueError("coefficient string longer than modulus degree")
+        return tuple.__new__(cls, (coeffs, m))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Gf2Poly":
+        return cls(*iterable)
 
     @classmethod
     def zero(cls, m: int) -> "Gf2Poly":

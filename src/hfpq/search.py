@@ -50,9 +50,8 @@ are visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import kernels
 from .analysis import kernel_iota
@@ -378,8 +377,7 @@ def search_general(
     return _sorted_unique(hits)
 
 
-@dataclass(frozen=True)
-class ItoScanRow:
+class ItoScanRow(NamedTuple):
     """Existence record for one length 4n; exists is None when truncated."""
 
     n: int

@@ -8,7 +8,7 @@ to length 8n, kernel dimension 2 (exponent 2 iota).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import IndexingInconsistency, kernel_iota, verify_hfp
 from .bitops import reverse_bits, rotl
@@ -146,8 +146,7 @@ def _is_power_of_x_plus_1(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DoubleGcdCheck:
+class DoubleGcdCheck(NamedTuple):
     """Both sides of the doubling gcd transfer, as plain polynomials."""
 
     gcd_small: int

@@ -10,9 +10,8 @@ e, a^-1, ..., a^-(2n-1) and the second half by ab, a^2 b, ..., a^(2n) b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import kernels
 from .core import (
@@ -39,25 +38,36 @@ class VerificationError(ValueError):
     """A code failed verification where a verified code was required."""
 
 
-@dataclass(frozen=True)
-class TypeQCode:
+# validated like core.BinaryWord: fields here, checks in the subclass
+class _TypeQCodeFields(NamedTuple):
+    n: int
+    a_vec: BinaryWord
+    b_vec: BinaryWord
+    iota: int | None = None
+
+
+class TypeQCode(_TypeQCodeFields):
     """Generators of a candidate type-Q code of length 4n.
 
     iota, when present, asserts that the kernel is {e, u, k, ku} with
     k = a^iota b (up to complement).
     """
 
-    n: int
-    a_vec: BinaryWord
-    b_vec: BinaryWord
-    iota: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        length = 4 * self.n
-        if self.a_vec.length != length or self.b_vec.length != length:
+    def __new__(
+        cls, n: int, a_vec: BinaryWord, b_vec: BinaryWord, iota: int | None = None
+    ) -> "TypeQCode":
+        length = 4 * n
+        if a_vec.length != length or b_vec.length != length:
             raise ValueError(f"generator words must have length {length}")
-        if self.iota is not None and not 0 <= self.iota < 2 * self.n:
-            raise ValueError(f"iota {self.iota} out of range [0, {2 * self.n})")
+        if iota is not None and not 0 <= iota < 2 * n:
+            raise ValueError(f"iota {iota} out of range [0, {2 * n})")
+        return tuple.__new__(cls, (n, a_vec, b_vec, iota))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TypeQCode":
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
@@ -149,8 +159,7 @@ def d1_representative(code: TypeQCode, g: GroupElement) -> GroupElement:
     return group_mul(g, u_element(code.n), code.n)
 
 
-@dataclass(frozen=True)
-class CoordinateIndex:
+class CoordinateIndex(NamedTuple):
     """Row labels of the normalized Hadamard matrix.
 
     row_order lists the D1 representatives of e, a^-1, ..., a^-(2n-1),
@@ -168,8 +177,7 @@ def coordinate_index(code: TypeQCode) -> CoordinateIndex:
     return CoordinateIndex(n, tuple(d1_representative(code, g) for g in rows))
 
 
-@dataclass(frozen=True)
-class HadamardMatrixQ:
+class HadamardMatrixQ(NamedTuple):
     """Normalized binary Hadamard matrix of a verified type-Q code."""
 
     order: int
@@ -225,8 +233,7 @@ def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ConstructedCode:
+class ConstructedCode(NamedTuple):
     """Propelinear Hadamard code built from a Hadamard group table.
 
     columns[i] is the group element indexing coordinate i+1; sigma_words[g]

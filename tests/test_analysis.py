@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -264,13 +263,13 @@ def test_analyze_reference(golden):
 
 def test_classify_flags_fabricated_report(golden):
     rep = analyze(golden)
-    bad = replace(rep, kernel_dim=3)
+    bad = rep._replace(kernel_dim=3)
     assert any("kernel dimension 3" in v for v in classify(bad))
-    bad_rank = replace(rep, rank=13)
+    bad_rank = rep._replace(rank=13)
     assert classify(bad_rank)
-    bad_linear = replace(rep, is_linear=True)
+    bad_linear = rep._replace(is_linear=True)
     assert classify(bad_linear)
-    assert classify(replace(rep, a_in_kernel=True))
+    assert classify(rep._replace(a_in_kernel=True))
 
 
 def test_classify_linear_branch():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 from types import SimpleNamespace
 
@@ -223,7 +222,7 @@ def test_analyze_bound_violation_exits_3(golden_path, monkeypatch, capsys):
     real = cli.analyze
 
     def violating(code):
-        return dataclasses.replace(real(code), bound_violations=("rank <= 1",))
+        return real(code)._replace(bound_violations=("rank <= 1",))
 
     monkeypatch.setattr(cli, "analyze", violating)
     assert main(["analyze", golden_path]) == 3

@@ -9,6 +9,7 @@ from hfpq import kernels, kernels_py
 from hfpq.analysis import verify_hfp
 from hfpq.bitops import reverse_bits, rot_halves, rotl
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
+from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul
 from hfpq.typeq import TypeQCode
 
 
@@ -92,6 +93,18 @@ def test_parity_lemma_power_2n(n):
             (mask << half) if (a >> half).bit_count() & 1 else 0
         )
         assert v == expect
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_parity_lemma_per_half(n):
+    # S_(2n) h = wt(h) u_h in GF(2)[x]/(x^(2n) + 1) for every half-word h,
+    # with S_(2n) = 1 + x + ... + x^(2n-1) = u_h, as a polynomial product
+    half = 2 * n
+    u_h = (1 << half) - 1
+    m = modulus_poly(half)
+    for h in range(1 << half):
+        expect = u_h if h.bit_count() & 1 else 0
+        assert poly_mod(poly_mul(u_h, h), m) == expect
 
 
 def test_first_of_weight_exhaustive():
