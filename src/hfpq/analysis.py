@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .bitops import reverse_bits
-from .core import BinaryWord, GroupElement, GroupTable, canonical_perm
+from .core import BinaryWord, GroupElement, GroupTable
 from .gf2poly import modulus_poly, poly_degree, poly_gcd, poly_mul
-from .typeq import TypeQCode, codeword_ints
+from .typeq import TypeQCode, codeword_ints, kappa_vector
 
 
 class NotKernelElement(ValueError):
@@ -122,22 +122,113 @@ def kernel_ints(words: Iterable[int]) -> list[int]:
     return kernel
 
 
-def kernel_iota(words: tuple[int, ...], n: int) -> tuple[list[int], int | None]:
-    """(kernel, iota) of a verified word table in element order.
+def structured_iota(a: int, n: int) -> int | None:
+    """iota of a verified code whose kernel has dimension 2, else None (F5).
 
-    iota is the exponent of the kernel generator a^iota b (taken mod 2n,
-    since a^(iota+2n) b is its complement), or None when the kernel does
-    not have dimension 2.
+    At n <= 2 every code is linear, so K(C) = C has dimension 3 or 4
+    (checked exhaustively in tests/test_search.py), and this returns None.
+    For n >= 3, K(C) has dimension 2 iff a2 = x^(iota+1) rev(a1) + u for
+    some iota (a is structured), and then K(C) = {0, u, kappa, kappa + u}
+    with kappa = kappa_vector(iota) = w(a^iota b) up to complement
+    (kernel_from_iota); else K(C) = {0, u}.  So one rotation match reads
+    the kernel off a: the k with rotl(rev(a1), k) = a2 + u_2 gives iota =
+    k - 1 mod 2n.
+
+    Notation.  A word is a pair (p1, p2) in R^2, R = GF(2)[x]/(x^(2n) + 1),
+    and u_h is the all-ones half.  phi(p)(x) = p(x^-1) = x rev(p) is an
+    involutive ring automorphism of R that fixes u_h; v is the half with
+    ones at the odd positions.  pi_a multiplies both halves by x, and
+    pi_b(p1, p2) = (rev p2, rev p1).  w(g) is the word of g, w(a^k) = S_k a
+    and w(a^k b) = S_k a + x^k b with S_k = 1 + x + ... + x^(k-1), so
+    (1 + x) S_k = 1 + x^k.  b solves derive_b_bits's equations (1 + x) b_h
+    = a_h + phi(a_h'), h' the other half.  A half p alternates (is v or
+    v + u_h) iff (1 + x) p = u_h, since (1 + x) v = u_h and the kernel of
+    1 + x is {0, u_h}.  The words obey w(g h) = w(g) + pi_g w(h) for the
+    verified code (kernels_py's theorem), and u + w(h) = w(a^(2n) h).
+
+    A. w(a^i b) alternates on both halves iff a2 = x^i phi(a1) + u, which is
+       a2 + u = x^(i+1) rev(a1): the match at k = i + 1.  By the equations
+       (1 + x) w(a^i b)_h = (1 + x^i) a_h + x^i (a_h + phi(a_h')) = a_h +
+       x^i phi(a_h'), which is u_h iff a_h + u_h = x^i phi(a_h').  For h = 2
+       that is the condition; for h = 1, applying phi gives phi(a1) + u =
+       x^-i a2, the same condition.
+    B. A codeword z that alternates on both halves lies in K(C).  pi_a z =
+       x z = z + u, and rev p = p + u_h for an alternating half p, so pi_b z
+       = (z2 + u, z1 + u), which is z or z + u since z1 and z2 are each v or
+       v + u.  Let Z = {c in C : z + c in C}; 0 is in Z since z is in C.
+       For g in {a, b}, L_g(c) = w(g) + pi_g c maps C onto C, as L_g(w(h))
+       = w(g h), and z + L_g(c) = L_g(z + c) + (pi_g z + z) lies in C + {0,
+       u} = C for c in Z.  So Z is closed under L_a and L_b, which reach
+       every codeword from w(e) = 0: Z = C, that is z + C = C.
+    C. If w(a^i b) alternates on both halves, it is kappa_vector(i) or its
+       complement.  g = a^i b has g^2 = b^2 = a^(2n) in the group, so
+       w(g) + pi_g w(g) = u with pi_g = pi_a^i pi_b, and the first half
+       reads z1 + x^i rev(z2) = u for z = w(g).  x v = v + u, so z2 = v
+       gives z1 = x^i v, v for even i and v + u for odd i, and z2 = v + u
+       gives the complement: (v, v) for even i and (v, v + u) for odd i, up
+       to complement.
+
+    (superset) If a matches at iota, w(a^iota b) alternates (A), lies in
+    K(C) (B) and is kappa up to complement (C).  u + C = C, so {0, u,
+    kappa, kappa + u} is in K(C).
+    (subset) With n >= 3, by the paper's theorem, K(C) has dimension 1 or
+    2 (so C, of 8n > 4 words, is not linear), with 2 <= s - 1 in the
+    second case, so that n is even.  If the dimension is 2, F3 (search._expand) gives
+    K(C) = {0, u, z, z + u} with z alternating on both halves.  z is a
+    codeword.  It is no power w(a^j): x^j z = z + j u would make w(a^(2j))
+    = z + x^j z = j u.  For even j that is 0, so a^(2j) = e, j = 0 mod 2n
+    and z is 0 or u; for odd j it is u, so j = n mod 2n and n is odd.  So
+    z = w(a^i b), and a matches at i (A).  Hence dim K(C) = 2 iff a matches,
+    and K(C) is then the four words of (superset).
+
+    Matches at two exponents i != i' mod 2n would put w(a^i b) and
+    w(a^i' b), which are distinct and not complements (the 8n words are
+    distinct), in K(C) with 0 and u: more than 4 words, against the
+    theorem.  That raises IndexingInconsistency.  The tests check this
+    function against kernel_ints on every raw hit at n <= 6 and every
+    quotient hit at n = 7, 8 (tests/test_search.py), and on the golden
+    chain up to length 768 (tests/test_transforms.py).
     """
-    kernel = kernel_ints(words)
-    if len(kernel) != 4:
-        return kernel, None
+    if n < 3:
+        return None
+    half = 2 * n
+    mask = (1 << half) - 1
+    # most significant bit first, rotl(r, k) reads r[k:] + r[:k]
+    r = f"{reverse_bits(a & mask, half):0{half}b}"
+    rr = r + r[:-1]
+    t = f"{(a >> half) ^ mask:0{half}b}"
+    k = rr.find(t)
+    if k < 0:
+        return None
+    if rr.find(t, k + 1) >= 0:
+        raise IndexingInconsistency("a matches two kernel exponents")
+    return (k - 1) % half
+
+
+def kernel_from_iota(iota: int | None, n: int) -> list[int]:
+    """K(C) of a verified code with n >= 3, from its structured_iota."""
     u = (1 << (4 * n)) - 1
-    kappa = next(z for z in kernel if z not in (0, u))
-    idx = words.index(kappa)
-    if idx < 4 * n:
-        raise IndexingInconsistency("kernel generator is a power of a")
-    return kernel, (idx - 4 * n) % (2 * n)
+    if iota is None:
+        return [0, u]
+    kappa = kappa_vector(iota, n).bits
+    return [0, u, kappa, kappa ^ u]
+
+
+def code_iota(code: TypeQCode) -> int | None:
+    """iota with w(a^iota b) in K(C) when K(C) has 4 words, else None.
+
+    A verified code reads it off a (structured_iota).  Any other code
+    filters its word table (kernel_ints) and finds its kernel generator
+    among the words a^i b, i taken mod 2n; a generator that is a power of
+    a gives None.
+    """
+    n = code.n
+    if verify_hfp(code).ok:
+        return structured_iota(code.a_vec.bits, n)
+    words = codeword_ints(code)
+    kernel = kernel_ints(words)
+    idx = words.index(kernel[1]) - 4 * n if len(kernel) == 4 else -1
+    return idx % (2 * n) if idx >= 0 else None
 
 
 def _kernel_basis(kernel: list[int], length: int) -> tuple[int, list[int]]:
@@ -165,22 +256,6 @@ def compute_kernel(codewords: Iterable[BinaryWord]) -> tuple[int, list[BinaryWor
     kernel = kernel_ints(w.bits for w in words)
     dim, basis = _kernel_basis(kernel, length)
     return dim, [BinaryWord(b, length) for b in basis]
-
-
-def kernel_by_automorphism(code: TypeQCode) -> tuple[int, list[BinaryWord]]:
-    """Kernel via the membership test pi_z in Aut(C), for cross-validation."""
-    n = code.n
-    words = codeword_ints(code)
-    word_set = frozenset(words)
-    kernel = []
-    for idx, z in enumerate(words):
-        g = GroupElement(idx % (4 * n), idx >= 4 * n)
-        pi = canonical_perm(g, n)
-        if all(pi.apply_bits(c) in word_set for c in word_set):
-            kernel.append(z)
-    kernel.sort()
-    dim, basis = _kernel_basis(kernel, code.length)
-    return dim, [BinaryWord(b, code.length) for b in basis]
 
 
 def is_linear_code(words: Iterable[int]) -> bool:
@@ -358,16 +433,25 @@ def analyze(code: TypeQCode) -> AnalysisReport:
     GF(2)[x], with no elimination over the codewords.  The codewords span
     R a + R b for R = GF(2)[x]/(x^(2n) + 1) acting on both halves at once,
     for any (a, b), so this needs no verification (proof in span_rank).
+
+    The kernel of a verified code with n >= 3 is read off a
+    (structured_iota), and has at most 4 < 8n = |C| words, so C is not
+    linear.  Any other code filters its word table (kernel_ints).  With 0
+    in C, K(C) is a subspace of C, and C is linear iff K(C) = C.
     """
-    words = codeword_ints(code)
     length = code.length
     n = code.n
     verdict = verify_hfp(code)
     rank = span_rank(code.a_vec.bits, code.b_vec.bits, n)
-    kernel = kernel_ints(words)
+    if verdict.ok and n >= 3:
+        kernel = kernel_from_iota(structured_iota(code.a_vec.bits, n), n)
+        linear = False
+    else:
+        words = codeword_ints(code)
+        kernel = kernel_ints(words)
+        linear = len(kernel) == len(set(words))
     dim, basis = _kernel_basis(kernel, length)
     s, n_prime = two_adic_split(length)
-    linear = is_linear_code(words)
     report = AnalysisReport(
         length=length,
         s=s,
@@ -378,7 +462,7 @@ def analyze(code: TypeQCode) -> AnalysisReport:
         is_linear=linear,
         is_hfp=verdict.ok,
         bound_violations=(),
-        a_in_kernel=code.a_vec.bits in set(kernel),
+        a_in_kernel=code.a_vec.bits in kernel,
         failure=verdict.failure,
         witness=verdict.witness,
     )

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .analysis import AnalysisReport, IndexingInconsistency, analyze, kernel_iota
+from .analysis import AnalysisReport, IndexingInconsistency, analyze, code_iota
 from .core import BinaryWord
 from .search import search_general, search_k2
 from .transforms import double_code, transpose_code
@@ -32,7 +32,6 @@ from .typeq import (
     TypeQCode,
     VerificationError,
     build_matrix,
-    codeword_ints,
     derive_b,
 )
 
@@ -130,7 +129,7 @@ def code_from_file(cf: CodeFile) -> TypeQCode:
         raise VerificationError("b does not match the derivation from a")
     code = TypeQCode(cf.n, cf.a, cf.b if cf.b is not None else derived, cf.iota)
     if cf.iota is not None:
-        iota = kernel_iota(codeword_ints(code), cf.n)[1]
+        iota = code_iota(code)
         if iota != cf.iota:
             raise VerificationError(
                 f"iota={cf.iota} given, but the kernel gives iota={iota}"

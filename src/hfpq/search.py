@@ -33,11 +33,13 @@ image takes its b and its dedup key from the hit's b and kernel by
 sigma_s, without derive_b_bits, codeword_table or kernel_ints, and an
 image and its complement share both.  So dedup still sees every raw hit
 exactly once.  search_general expands each orbit from its first hit
-only; kernel_iota runs once per expanded hit and its iota is attached to
-every image.  search_k2 and search_general consume their generator
-completely; ito_scan takes the first hit of each, which is the smallest
-hit overall because the least word of an orbit lies in a quotient row
-(or has a quotient a1).
+only.  No search builds a kernel from codewords: from n = 3 on it is read
+off a by analysis.structured_iota (F5) once per expanded hit, and its
+iota is attached to every image; at n <= 2 the code is linear and its
+kernel is its word table.  search_k2 and search_general consume their
+generator completely; ito_scan takes the first hit of each, which is the
+smallest hit overall because the least word of an orbit lies in a
+quotient row (or has a quotient a1).
 
 The key of a raw hit a is its kernel coset a + K(C), 2 or 4 words for a
 nonlinear code and C itself for the linear codes at n <= 2: the hits
@@ -54,10 +56,10 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import kernels
-from .analysis import kernel_iota
+from .analysis import kernel_from_iota, structured_iota
 from .bitops import reverse_bits, rotl
 from .core import BinaryWord
-from .typeq import TypeQCode, codeword_ints, kappa_vector
+from .typeq import TypeQCode
 
 Progress = Callable[[int, int], None]
 # a raw hit: (n, a, b, iota, key)
@@ -124,17 +126,17 @@ def _orbit(a: int, n: int) -> set[int]:
     onto the table of (sigma a, sigma b), which preserves the weights,
     distinctness and the defining relations: hits map to hits.  sigma b is
     derive_b_bits(sigma a) or its complement; b + u gives a^i (b + u) =
-    a^(i+2n) b, which shifts the b-indices by 2n and leaves kernel_iota
-    (taken mod 2n) unchanged.  a + u = a^(2n+1) generates the same codeword
-    set (the word of (a + u)^i is that of a^i, plus u for odd i), so it is
-    a hit with the same kernel and iota.
+    a^(i+2n) b, which shifts the b-indices by 2n and leaves the kernel's
+    iota (taken mod 2n) unchanged.  a + u = a^(2n+1) generates the same
+    codeword set (the word of (a + u)^i is that of a^i, plus u for odd i),
+    so it is a hit with the same kernel and iota.
 
     In the structured family a2 = x^(iota+1) phi1(a1) + u, and phi1(x^s a1)
     = x^(-s) phi1(a1), so derive_a2(rot(a1, s), iota) = rot(derive_a2(a1,
     iota), -s) and derive_a2(a1 + u, iota) = derive_a2(a1, iota) + u: both
     maps keep every iota family.  sigma_s sends kappa_vector(iota) to
     itself (s even) or to its complement (s odd), and the kernel holds u,
-    so the k2 test of search_k2 gives the same verdict on every image.
+    so every image has the kernel of the same iota.
     """
     half = 2 * n
     u = (1 << (2 * half)) - 1
@@ -238,18 +240,18 @@ def _settled(a1: int, n: int) -> bool:
     )
 
 
-def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """Verified (iota, a, b, words) of the structured family, a1 least in its class.
+def _structured(n: int) -> Iterator[tuple[int, int, int]]:
+    """Verified (iota, a, b) of the structured family, a1 least in its class.
 
     a2 = x^(iota+1) phi1(a1) + u has weight 2n - wt(a1), so every
     candidate has weight 2n and derive_b_bits always finds b.  Whether a
     candidate verifies depends on a1 alone (_settled), so the a1 are
     settled once, while iota 0 is walked, and each later iota reuses them:
-    it only builds a2, b = derive_b_bits(a) and words = codeword_table(a,
-    b), and a caller that stops at the first hit settles only the a1
-    before it.  Every other verified candidate of an iota family is an
-    image of one yielded here under _orbit.  For odd n >= 3 the family is
-    empty (_settled), and nothing is walked.
+    it only builds a2 and b = derive_b_bits(a), and a caller that stops at
+    the first hit settles only the a1 before it.  Every other verified
+    candidate of an iota family is an image of one yielded here under
+    _orbit.  For odd n >= 3 the family is empty (_settled), and nothing is
+    walked.
     """
     half = 2 * n
     if n > 1 and n & 1:
@@ -262,8 +264,7 @@ def _structured(n: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
                     continue
                 verified.append(a1)
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
-            b_bits = kernels.derive_b_bits(a_bits, n)
-            yield iota, a_bits, b_bits, kernels.codeword_table(a_bits, b_bits, n)
+            yield iota, a_bits, kernels.derive_b_bits(a_bits, n)
 
 
 def _profile_class(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
@@ -330,16 +331,15 @@ def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
 def search_k2(n: int, *, progress: Progress | None = None) -> list[TypeQCode]:
     """Structured search: iota in [0, 2n), a1 of odd weight, a2 derived.
 
-    Keeps candidates whose kernel has dimension exactly 2 with generator
-    matching the alternating pattern for iota.  Each quotient candidate is
-    tested once and decides for its whole orbit.
+    Every verified candidate is a code with kernel {0, u, kappa, kappa + u},
+    kappa = kappa_vector(iota) (F5, analysis.structured_iota), except at
+    n <= 2, where every code is linear and none has a kernel of dimension
+    2.  Each quotient candidate stands for its whole orbit.
     """
     half = 2 * n
     hits: list[Hit] = []
-    for iota, a_bits, b_bits, table in _structured(n):
-        kernel, found_iota = kernel_iota(table, n)
-        if found_iota != iota or kappa_vector(iota, n).bits not in kernel:
-            continue
+    for iota, a_bits, b_bits in _structured(n) if n >= 3 else ():
+        kernel = kernel_from_iota(iota, n)
         for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
             hits.append((n, image, b_image, iota, key))
     if progress is not None:
@@ -366,8 +366,11 @@ def search_general(
             # seen holds whole orbits, so this hit's orbit is expanded already
             if a_bits in seen:
                 continue
-            table = kernels.codeword_table(a_bits, b_bits, n)
-            kernel, iota = kernel_iota(table, n)
+            iota = structured_iota(a_bits, n)
+            if n <= 2:  # linear: K(C) = C
+                kernel = list(kernels.codeword_table(a_bits, b_bits, n))
+            else:
+                kernel = kernel_from_iota(iota, n)
             for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
                 seen.add(image)
                 if image < stop:
@@ -400,7 +403,7 @@ def ito_scan(
     rows = []
     for n in range(1, n_max + 1):
         stop = _stop(n, limit)
-        hit = next(((a, b) for _, a, b, _ in _structured(n)), None)
+        hit = next(((a, b) for _, a, b in _structured(n)), None)
         if hit is None:
             hit = next((h for _, found in _general(n, stop) for h in found), None)
         if hit is None:
@@ -408,8 +411,7 @@ def ito_scan(
             witness = None
         else:
             exists = True
-            words = codeword_ints(_code(n, *hit, None))
-            witness = _code(n, *hit, kernel_iota(words, n)[1])
+            witness = _code(n, *hit, structured_iota(hit[0], n))
         rows.append(ItoScanRow(n, exists, witness))
         if progress is not None:
             progress(n, sum(1 for r in rows if r.exists))

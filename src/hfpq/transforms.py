@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analysis import IndexingInconsistency, kernel_iota, verify_hfp
-from .bitops import reverse_bits, rotl
+from .analysis import IndexingInconsistency, structured_iota, verify_hfp
 from .core import BinaryWord
 from .gf2poly import (
     X_PLUS_1,
@@ -25,47 +24,40 @@ from .gf2poly import (
 from .typeq import (
     NotTypeQCandidate,
     TypeQCode,
+    VerificationError,
     build_matrix,
-    codeword_ints,
     codeword_set,
     derive_b,
     kappa_vector,
 )
 
 
-def _transpose_relabel(word: int, n: int) -> int:
-    """Reverse the first-half coordinates, keeping position 1 in place.
-
-    Columns of H carry their first-half coordinates in the opposite cyclic
-    direction (labels e, a, a^2, ... instead of e, a^-1, a^-2, ...); this
-    brings a column word into the canonical coordinate order.  Bit p of
-    the first half moves to bit -p mod 2n: a reversal, then a rotation by 1.
-    """
-    half = 2 * n
-    mask = (1 << half) - 1
-    return rotl(reverse_bits(word, half), 1, half) | (word & (mask << half))
-
-
 def transpose_code(code: TypeQCode) -> TypeQCode:
     """Code of the transposed matrix; codewords are the columns of H.
 
-    The generator word is the column of H at the position of a in the
-    transpose ordering e, a, ..., a^(2n-1), ab, ..., a^(2n) b, brought to
-    canonical coordinate order; b is then re-derived.  Self-checks that
-    the rebuilt code verifies and that its codeword set is exactly the
-    relabelled columns plus complements.
+    Column j of H has bit i = H[i][j], and row i of H is labelled a^-i in
+    the first half.  Columns carry their first-half coordinates in the
+    opposite cyclic direction, so the rows are taken in the order e, a,
+    ..., a^(2n-1) (row -i mod 2n at position i), ab, ..., a^(2n) b; then
+    the columns are in canonical coordinate order.  The generator word is
+    the column at the position of a, and b is re-derived.  Self-checks
+    that the rebuilt code verifies and that its codeword set is exactly the
+    columns plus complements.  iota is read off the new a (structured_iota).
     """
     matrix = build_matrix(code)
     n = code.n
+    half = 2 * n
     length = 4 * n
     u = (1 << length) - 1
-    cols = [_transpose_relabel(c, n) for c in matrix.transposed_rows()]
+    rows = matrix.rows
+    flipped = matrix._replace(rows=rows[:1] + rows[half - 1 : 0 : -1] + rows[half:])
+    cols = flipped.transposed_rows()
     new_a = BinaryWord(cols[1], length)
     try:
         new_b = derive_b(new_a, n)
     except NotTypeQCandidate as exc:
         raise IndexingInconsistency(f"transpose generator rejected: {exc}") from exc
-    out = TypeQCode(n, new_a, new_b, iota=None)
+    out = TypeQCode(n, new_a, new_b)
     verdict = verify_hfp(out)
     if not verdict.ok:
         raise IndexingInconsistency(
@@ -74,7 +66,7 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
     expected = frozenset(cols) | frozenset(c ^ u for c in cols)
     if codeword_set(out) != expected:
         raise IndexingInconsistency("transpose codeword set mismatch")
-    return TypeQCode(n, new_a, new_b, kernel_iota(codeword_ints(out), n)[1])
+    return out._replace(iota=structured_iota(new_a.bits, n))
 
 
 def doubled_generator_half(a_i: Gf2Poly, kappa_i: Gf2Poly) -> Gf2Poly:
@@ -85,21 +77,24 @@ def doubled_generator_half(a_i: Gf2Poly, kappa_i: Gf2Poly) -> Gf2Poly:
 def double_code(code: TypeQCode) -> TypeQCode:
     """Length-8n code from a verified k=2 code.
 
-    iota is read off the kernel; a given code.iota must equal it.  The new
-    kernel generator is A^(2 iota) B (exact computation; exhaustive over
-    all small k=2 codes), whose representative is the alternating pattern
-    of length 8n; maximum rank 2n doubles to 4n.
+    iota is read off a (structured_iota, which also makes kappa_vector(iota)
+    the kernel generator); a given code.iota must equal it.  The new kernel
+    generator is A^(2 iota) B (exact computation; exhaustive over all small
+    k=2 codes), whose representative is the alternating pattern of length
+    8n; maximum rank 2n doubles to 4n.  Self-checks that the new code
+    verifies and that its a gives 2 iota.
     """
     n = code.n
     half = 2 * n
-    kernel, iota = kernel_iota(codeword_ints(code), n)
+    verdict = verify_hfp(code)
+    if not verdict.ok:
+        raise VerificationError(f"{verdict.failure}: {verdict.witness}")
+    iota = structured_iota(code.a_vec.bits, n)
     if iota is None:
         raise ValueError("doubling requires a kernel of dimension 2")
     if code.iota is not None and code.iota != iota:
         raise ValueError(f"iota {code.iota} does not match the kernel ({iota})")
     kappa = kappa_vector(iota, n)
-    if kappa.bits not in kernel:
-        raise ValueError("kernel generator is not the kappa_vector pattern")
     mask = (1 << half) - 1
     a1 = Gf2Poly(code.a_vec.bits & mask, half)
     a2 = Gf2Poly(code.a_vec.bits >> half, half)
@@ -113,7 +108,7 @@ def double_code(code: TypeQCode) -> TypeQCode:
     verdict = verify_hfp(out)
     if not verdict.ok:
         raise IndexingInconsistency(f"doubled code failed: {verdict.failure}")
-    if kernel_iota(codeword_ints(out), half)[1] != 2 * iota:
+    if structured_iota(new_a.bits, half) != 2 * iota:
         raise IndexingInconsistency("doubled kernel exponent is not 2 iota")
     return out
 

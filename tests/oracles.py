@@ -1,12 +1,23 @@
-"""Rank oracles used only by the tests, independent of analysis.span_rank."""
+"""Oracles used only by the tests, independent of the fast paths in src/.
+
+The rank by elimination (against analysis.span_rank), the kernel by
+filtering the word table and by automorphisms (against
+analysis.structured_iota), and the column relabelling of the transpose
+(against transforms.transpose_code's row order).
+"""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from hfpq.analysis import kernel_ints, rank_of_ints
-from hfpq.bitops import rot_halves
-from hfpq.core import BinaryWord
+from hfpq.analysis import (
+    IndexingInconsistency,
+    _kernel_basis,
+    kernel_ints,
+    rank_of_ints,
+)
+from hfpq.bitops import reverse_bits, rot_halves, rotl
+from hfpq.core import BinaryWord, GroupElement, canonical_perm
 from hfpq.typeq import TypeQCode, codeword_ints
 
 
@@ -37,3 +48,50 @@ def rank_via_generators(code: TypeQCode) -> int:
     gens = [rot_halves(code.a_vec.bits, 2 * code.n, j) for j in range(2 * code.n)]
     gens.append(kappa)
     return rank_of_ints(gens)
+
+
+def kernel_iota(words: tuple[int, ...], n: int) -> tuple[list[int], int | None]:
+    """(kernel, iota) of a verified word table in element order.
+
+    iota is the exponent of the kernel generator a^iota b (taken mod 2n,
+    since a^(iota+2n) b is its complement), or None when the kernel does
+    not have dimension 2.
+    """
+    kernel = kernel_ints(words)
+    if len(kernel) != 4:
+        return kernel, None
+    u = (1 << (4 * n)) - 1
+    kappa = next(z for z in kernel if z not in (0, u))
+    idx = words.index(kappa)
+    if idx < 4 * n:
+        raise IndexingInconsistency("kernel generator is a power of a")
+    return kernel, (idx - 4 * n) % (2 * n)
+
+
+def kernel_by_automorphism(code: TypeQCode) -> tuple[int, list[BinaryWord]]:
+    """Kernel via the membership test pi_z in Aut(C), for cross-validation."""
+    n = code.n
+    words = codeword_ints(code)
+    word_set = frozenset(words)
+    kernel = []
+    for idx, z in enumerate(words):
+        g = GroupElement(idx % (4 * n), idx >= 4 * n)
+        pi = canonical_perm(g, n)
+        if all(pi.apply_bits(c) in word_set for c in word_set):
+            kernel.append(z)
+    kernel.sort()
+    dim, basis = _kernel_basis(kernel, code.length)
+    return dim, [BinaryWord(b, code.length) for b in basis]
+
+
+def transpose_relabel(word: int, n: int) -> int:
+    """Reverse the first-half coordinates, keeping position 1 in place.
+
+    Columns of H carry their first-half coordinates in the opposite cyclic
+    direction (labels e, a, a^2, ... instead of e, a^-1, a^-2, ...); this
+    brings a column word into the canonical coordinate order.  Bit p of
+    the first half moves to bit -p mod 2n: a reversal, then a rotation by 1.
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    return rotl(reverse_bits(word, half), 1, half) | (word & (mask << half))

@@ -14,7 +14,6 @@ import pytest
 from hfpq.analysis import (
     analyze,
     compute_kernel,
-    kernel_by_automorphism,
     project_onto_support,
     verify_hadamard_group,
     verify_hfp,
@@ -39,7 +38,7 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_KAPPA
-from .oracles import rank_via_generators
+from .oracles import kernel_by_automorphism, rank_via_generators
 
 
 def _report(criterion: int, label: str, started: float) -> None:

@@ -11,7 +11,6 @@ from hfpq.analysis import (
     analyze,
     classify,
     compute_kernel,
-    kernel_by_automorphism,
     project_onto_support,
     rank_of_ints,
     span_rank,
@@ -30,7 +29,7 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_KAPPA
-from .oracles import compute_rank, rank_via_generators
+from .oracles import compute_rank, kernel_by_automorphism, rank_via_generators
 
 
 def _linear_hadamard_length8() -> list[BinaryWord]:

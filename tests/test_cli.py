@@ -193,12 +193,16 @@ def test_transform_exit_codes(command, text, code, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-# kernel exponent 7 (iota=7 is right); the transposed example has kernel
-# dimension 1, so no iota is right for it
+# kernel exponent 7 (iota=7 is right) and the example's 11; the transposed
+# example has kernel dimension 1, so no iota is right for it
 @pytest.mark.parametrize("text", [
     "HFPQ v1\nn=4\na=0000101100101111\niota=3\n",
     "HFPQ v1\nn=6\na=001010010000010110111111\niota=0\n",
-], ids=["wrong-exponent", "kernel-dim-1"])
+    "HFPQ v1\nn=4\na=0000101100101111\niota=6\n",
+    GOLDEN_FILE.replace("iota=11", "iota=10"),
+    "HFPQ v1\nn=6\na=001010010000010110111111\niota=11\n",
+], ids=["wrong-exponent", "kernel-dim-1", "off-by-one", "golden-off-by-one",
+        "kernel-dim-1-golden-iota"])
 @pytest.mark.parametrize("command", ["analyze", "double"])
 def test_iota_not_matching_kernel_exits_1(command, text, tmp_path, capsys):
     path = tmp_path / "iota.code"
@@ -216,6 +220,43 @@ def test_iota_matching_kernel_passes(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 0
     assert main(["double", str(path)]) == 0
     assert "iota=14" in capsys.readouterr().out
+
+
+def _count_kernel_ints(monkeypatch) -> list[int]:
+    from hfpq import analysis
+
+    calls = []
+    original = analysis.kernel_ints
+
+    def counted(words):
+        calls.append(1)
+        return original(words)
+
+    monkeypatch.setattr(analysis, "kernel_ints", counted)
+    return calls
+
+
+def test_verified_iota_read_without_kernel_ints(tmp_path, monkeypatch, capsys):
+    # a verified code's iota comes off a alone (analysis.structured_iota)
+    calls = _count_kernel_ints(monkeypatch)
+    path = tmp_path / "iota.code"
+    path.write_text("HFPQ v1\nn=4\na=0000101100101111\niota=7\n", encoding="ascii")
+    assert main(["analyze", str(path)]) == 0
+    assert main(["double", str(path)]) == 0
+    assert calls == []
+
+
+def test_unverified_iota_goes_through_kernel_ints(tmp_path, monkeypatch, capsys):
+    # two bits of the k = 2 code above flipped: derive_b still succeeds, the
+    # code does not verify, and its kernel ({0, u}) gives no iota
+    calls = _count_kernel_ints(monkeypatch)
+    path = tmp_path / "iota.code"
+    path.write_text("HFPQ v1\nn=4\na=1100101100101111\niota=7\n", encoding="ascii")
+    for command in ("analyze", "double"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: iota=7 given, but the kernel gives iota=None\n"
+    assert len(calls) == 2
 
 
 def test_analyze_bound_violation_exits_3(golden_path, monkeypatch, capsys):

@@ -5,7 +5,14 @@ import hashlib
 import pytest
 
 from hfpq import kernels, search
-from hfpq.analysis import analyze, kernel_iota, kernel_ints, verify_hfp
+from hfpq.analysis import (
+    IndexingInconsistency,
+    analyze,
+    kernel_from_iota,
+    kernel_ints,
+    structured_iota,
+    verify_hfp,
+)
 from hfpq.bitops import rotl
 from hfpq.core import (
     BinaryWord,
@@ -31,8 +38,10 @@ from hfpq.search import (
     search_general,
     search_k2,
 )
+from hfpq.transforms import transpose_code
 from hfpq.typeq import TypeQCode, codeword_set
 
+from .oracles import kernel_iota
 from .test_kernels import _brute_scan, _powers_4n
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}
@@ -132,11 +141,13 @@ def test_search_k2_avoids_length12_and_20(k2_hits):
 
 def test_search_k2_n2_candidates_are_linear():
     # the 32 images of the structured candidates at n = 2 are linear codes
-    # with kernel dimension 4, so none has the iota kernel search_k2 keeps
+    # with kernel dimension 4, so none is a k = 2 code for search_k2 to list
     images = [
         (image, b_image)
-        for _, a, b, table in _structured(2)
-        for image, b_image, _ in _expand(a, b, kernel_ints(table), 2)
+        for _, a, b in _structured(2)
+        for image, b_image, _ in _expand(
+            a, b, kernel_ints(kernels.codeword_table(a, b, 2)), 2
+        )
     ]
     assert len(images) == 32
     for a, b in images:
@@ -324,7 +335,7 @@ def _structured_b_first(n):
 
 def _expand_structured(n):
     """Every (iota, a, b, words) reached from _structured by its orbits."""
-    for iota, a_bits, _, _ in _structured(n):
+    for iota, a_bits, _ in _structured(n):
         for image in _orbit(a_bits, n):
             b_bits = kernels.derive_b_bits(image, n)
             yield iota, image, b_bits, kernels.codeword_table(image, b_bits, n)
@@ -335,7 +346,7 @@ def test_structured_a_first_matches_b_first(n):
     # the quotient candidates are verified candidates, and their orbits
     # give back every verified candidate of the full b-first enumeration
     everything = list(_structured_b_first(n))
-    assert set(_structured(n)) <= set(everything)
+    assert set(_structured(n)) <= {found[:3] for found in everything}
     assert sorted(_expand_structured(n)) == sorted(everything)
 
 
@@ -356,7 +367,7 @@ def test_settled_n1_is_vacuous():
     # no even k <= 1: both odd a1 pass, and the quotient a1 = 1 is yielded
     # for each iota
     assert [a1 for a1 in range(4) if _settled(a1, 1)] == [1, 2]
-    assert [(iota, a & 3) for iota, a, _, _ in _structured(1)] == [(0, 1), (1, 1)]
+    assert [(iota, a & 3) for iota, a, _ in _structured(1)] == [(0, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -480,8 +491,8 @@ def _quotient_hits(n):
     for _, found in _general(n, 1 << (4 * n)):
         for a, b in found:
             yield a, b, kernel_ints(kernels.codeword_table(a, b, n))
-    for _, a, b, table in _structured(n):
-        yield a, b, kernel_ints(table)
+    for _, a, b in _structured(n):
+        yield a, b, kernel_ints(kernels.codeword_table(a, b, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -572,7 +583,7 @@ def test_structured_images_carry_kernel_iota(monkeypatch, k2_hits, n):
     _assert_images_match_fresh(raw, n)
     assert _summary(k2_hits[n]) == _summary(codes)
     # the quotient hits alone are not closed under sigma_1: every s
-    for _, a, b, _ in _structured(n):
+    for _, a, b in _structured(n):
         _assert_tables_follow_sigma(a, b, n, range(2 * n))
 
 
@@ -591,3 +602,58 @@ def test_nonpositive_limit_rejected(limit):
         _stop(2, limit)
     with pytest.raises(ValueError):
         search_general(2, limit)
+
+
+# F5 (analysis.structured_iota): the kernel is read off a by one rotation
+# match; kernel_ints over the word table is the oracle.
+
+
+def _assert_f5(a, b, n):
+    """structured_iota and kernel_from_iota agree with kernel_ints on (a, b)."""
+    kernel, iota = kernel_iota(kernels.codeword_table(a, b, n), n)
+    assert structured_iota(a, n) == iota, (a, n)
+    if n >= 3:
+        assert sorted(kernel_from_iota(iota, n)) == kernel, (a, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_f5_on_every_raw_hit(monkeypatch, n):
+    # every raw hit of both searches, with the iota each search attached; at
+    # n <= 2 the codes are linear and structured_iota gives None
+    raw = _raw_hits(monkeypatch, lambda: search_general(n))
+    raw += _raw_hits(monkeypatch, lambda: search_k2(n))
+    assert len(raw) == {1: 4, 2: 32, 3: 144, 4: 1536, 5: 2800, 6: 18432}[n]
+    for _, a, b, iota, _ in raw:
+        _assert_f5(a, b, n)
+        assert iota == structured_iota(a, n)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_f5_on_every_quotient_hit(n):
+    hits = [h for _, found in _general(n, 1 << (4 * n)) for h in found]
+    hits += [(a, b) for _, a, b in _structured(n)]
+    assert len(hits) == {7: 854, 8: 5376}[n]
+    for a, b in hits:
+        _assert_f5(a, b, n)
+
+
+def test_f5_two_matches_raise():
+    # rev(a1) = 101010 has period 2, so a2 + u matches it at two rotations;
+    # no verified code does (the kernel would have 8 words)
+    n, half = 3, 6
+    a1 = 0b010101
+    a2 = rotl(0b101010, 1, half) ^ 0b111111
+    with pytest.raises(IndexingInconsistency):
+        structured_iota(a1 | a2 << half, n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_transpose_of_structured_is_not_structured(n):
+    # the paper's "k = 2 gives a transpose with k = 1", through F5
+    codes = search_k2(n)
+    assert len(codes) == {4: 128, 6: 864, 8: 8192}[n]
+    for code in codes:
+        assert structured_iota(code.a_vec.bits, n) == code.iota is not None
+        t = transpose_code(code)
+        assert t.iota is None
+        assert structured_iota(t.a_vec.bits, n) is None

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from hfpq.analysis import analyze, compute_kernel, kernel_iota
+from hfpq.analysis import analyze, compute_kernel, kernel_from_iota, structured_iota
 from hfpq.core import BinaryWord
 from hfpq.gf2poly import X_PLUS_1, Gf2Poly, poly_mul
 from hfpq.transforms import (
-    _transpose_relabel,
     double_code,
     double_gcd_check,
     doubled_criterion_operand,
@@ -20,11 +19,14 @@ from hfpq.transforms import (
 from hfpq.typeq import (
     TypeQCode,
     all_codewords,
+    build_matrix,
     codeword_ints,
     codeword_set,
     kappa_vector,
     make_code,
 )
+
+from .oracles import kernel_iota, transpose_relabel
 
 
 def _kappa1(code: TypeQCode) -> Gf2Poly:
@@ -66,12 +68,42 @@ def test_transpose_relabel_matches_bitwise_reference():
     # up to 768 bits with junk above bit 4n
     for n in (1, 2, 3):
         for word in range(1 << (4 * n + 1)):
-            assert _transpose_relabel(word, n) == _relabel_by_bit(word, n)
+            assert transpose_relabel(word, n) == _relabel_by_bit(word, n)
     rng = random.Random(7)
     for n in (4, 5, 6, 24, 96, 192):
         for _ in range(20):
             word = rng.getrandbits(4 * n + rng.randrange(8))
-            assert _transpose_relabel(word, n) == _relabel_by_bit(word, n)
+            assert transpose_relabel(word, n) == _relabel_by_bit(word, n)
+
+
+def test_transpose_columns_are_the_relabelled_columns(golden, golden_chain):
+    # rows taken as e, a, ..., a^(2n-1), ab, ... give the columns of H in
+    # canonical coordinate order, as relabelling each column did, at every
+    # length of the chain (24 to 768)
+    for code in [golden] + [doubled for doubled, _ in golden_chain]:
+        n, half = code.n, 2 * code.n
+        u = (1 << code.length) - 1
+        matrix = build_matrix(code)
+        rows = matrix.rows
+        flipped = matrix._replace(rows=rows[:1] + rows[half - 1 : 0 : -1] + rows[half:])
+        relabelled = tuple(transpose_relabel(c, n) for c in matrix.transposed_rows())
+        assert flipped.transposed_rows() == relabelled
+        t = transpose_code(code)
+        assert t.a_vec.bits == relabelled[1]
+        assert codeword_set(t) == set(relabelled) | {c ^ u for c in relabelled}
+
+
+def test_f5_on_golden_chain(golden, golden_chain):
+    # every doubled and transposed code up to length 768: iota and kernel
+    # read off a agree with kernel_ints over the word table
+    codes = [golden] + [code for step in golden_chain for code in step]
+    for code in codes:
+        n = code.n
+        kernel, iota = kernel_iota(codeword_ints(code), n)
+        assert structured_iota(code.a_vec.bits, n) == iota == code.iota
+        assert sorted(kernel_from_iota(iota, n)) == kernel
+    assert [c.iota for c in codes] == [11, 22, None, 44, None, 88, None, 176, None,
+                                       352, None]
 
 
 def test_transpose_kills_kernel_dimension(k2_hits):
