@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .bitops import reverse_bits
 from .core import BinaryWord, GroupElement, GroupTable
-from .gf2poly import modulus_poly, poly_degree, poly_gcd, poly_mul
+from .gf2poly import modulus_poly, poly_degree, poly_gcd, poly_mul, reverse_bits
 from .typeq import TypeQCode, codeword_ints, kappa_vector
 
 

@@ -1,15 +1,56 @@
-"""Arithmetic in GF(2)[x]/(x^m - 1) on int-coded coefficient strings.
+"""GF(2)[x] arithmetic on int bit-polys: bit i = coefficient of x^i.
 
-A residue is a Gf2Poly with a fixed modulus degree m; plain (unreduced)
-polynomials over GF(2) are bare ints, bit i = coefficient of x^i.  The
-reversal map phi sends x^i to x^(m-1-i); inflate substitutes x -> x^2.
+A plain polynomial is any int >= 0.  A residue mod x^m - 1 is an int
+below 1 << m, read as a coefficient string of width m: multiplying by x^k
+rotates it (rotl), the reversal x^(m-1) p(1/x) reverses it (reverse_bits),
+and p(x^2) + x q(x^2) interleaves two strings (interleave).  Gf2Poly is
+the validated record of a residue that typeq.derive_a2 takes and returns.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .bitops import div_x_plus_1, reverse_bits, rotl
+
+def reverse_bits(x: int, width: int) -> int:
+    """Reverse a width-bit string: bit i moves to bit width-1-i.
+
+    Reads only the low width bits of x (width >= 1); the marker bit at
+    position width keeps the leading zeros in bin().
+    """
+    return int(bin(x & ((1 << width) - 1) | 1 << width)[:2:-1], 2)
+
+
+def rotl(x: int, k: int, width: int) -> int:
+    """Cyclic left shift in exponent space: bit i moves to bit (i+k) mod width."""
+    k %= width
+    mask = (1 << width) - 1
+    return ((x << k) | (x >> (width - k))) & mask
+
+
+def interleave(even: int, odd: int, width: int) -> int:
+    """even(x^2) + x odd(x^2): bit i of even to bit 2i, of odd to bit 2i+1.
+
+    even and odd lie below 1 << width; both strings are read most
+    significant bit first, so each pair is (odd bit, even bit).
+    """
+    pairs = zip(f"{odd:0{width}b}", f"{even:0{width}b}")
+    return int("".join(o + e for o, e in pairs), 2)
+
+
+def div_x_plus_1(p: int, width: int) -> int:
+    """Quotient q with (x+1)*q == p mod x^width - 1, constant term of q = 0.
+
+    Requires p of even weight; the other solution is q xor all-ones.
+    """
+    if p.bit_count() & 1:
+        raise ValueError("polynomial of odd weight is not divisible by x+1")
+    q = 0
+    acc = 0
+    for i in range(1, width):
+        acc ^= (p >> i) & 1
+        q |= acc << i
+    return q
 
 
 def poly_degree(p: int) -> int:
@@ -83,100 +124,3 @@ class Gf2Poly(_Gf2PolyFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> "Gf2Poly":
         return cls(*iterable)
-
-    @classmethod
-    def zero(cls, m: int) -> "Gf2Poly":
-        return cls(0, m)
-
-    @classmethod
-    def one(cls, m: int) -> "Gf2Poly":
-        return cls(1, m)
-
-    @classmethod
-    def all_ones(cls, m: int) -> "Gf2Poly":
-        """The polynomial u(x) with every coefficient 1."""
-        return cls((1 << m) - 1, m)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Gf2Poly":
-        """Parse a 0/1 string, leftmost character = constant term."""
-        if not s or any(c not in "01" for c in s):
-            raise ValueError(f"not a 0/1 coefficient string: {s!r}")
-        coeffs = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                coeffs |= 1 << i
-        return cls(coeffs, len(s))
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.coeffs >> i) & 1 else "0" for i in range(self.m))
-
-    @property
-    def weight(self) -> int:
-        return self.coeffs.bit_count()
-
-    def _check_same_modulus(self, other: "Gf2Poly") -> None:
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} != {other.m}")
-
-    def __xor__(self, other: "Gf2Poly") -> "Gf2Poly":
-        self._check_same_modulus(other)
-        return Gf2Poly(self.coeffs ^ other.coeffs, self.m)
-
-
-def add(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    """Coordinate-wise XOR of coefficient strings."""
-    return p ^ q
-
-
-def mul_mod(p: Gf2Poly, q: Gf2Poly) -> Gf2Poly:
-    """Product reduced mod x^m - 1."""
-    p._check_same_modulus(q)
-    wide = poly_mul(p.coeffs, q.coeffs)
-    mask = (1 << p.m) - 1
-    out = 0
-    while wide:
-        out ^= wide & mask
-        wide >>= p.m
-    return Gf2Poly(out, p.m)
-
-
-def mul_by_x(p: Gf2Poly, k: int = 1) -> Gf2Poly:
-    """Multiply by x^k: cyclic left shift of the coefficient string."""
-    return Gf2Poly(rotl(p.coeffs, k, p.m), p.m)
-
-
-def gcd(p: Gf2Poly, q: Gf2Poly) -> int:
-    """Euclidean gcd of the lifted plain polynomials (unreduced output)."""
-    return poly_gcd(p.coeffs, q.coeffs)
-
-
-def gcd_with_modulus(p: Gf2Poly) -> int:
-    """gcd of the lifted residue with x^m + 1, as a plain polynomial."""
-    return poly_gcd(p.coeffs, modulus_poly(p.m))
-
-
-def div_exact_by_x_plus_1(p: Gf2Poly) -> Gf2Poly:
-    """One quotient q with (x+1)*q == p mod x^m - 1, constant term 0.
-
-    The full solution set is {q, q + u}; even weight of p is required.
-    """
-    return Gf2Poly(div_x_plus_1(p.coeffs, p.m), p.m)
-
-
-def phi1(p: Gf2Poly) -> Gf2Poly:
-    """Reversal x^(m-1) * p(1/x): plain string reversal, an involution."""
-    return Gf2Poly(reverse_bits(p.coeffs, p.m), p.m)
-
-
-def inflate(p: Gf2Poly) -> Gf2Poly:
-    """Substitute x -> x^2, doubling the modulus degree (p(x) -> p(x^2))."""
-    out = 0
-    c = p.coeffs
-    i = 0
-    while c:
-        if c & 1:
-            out |= 1 << (2 * i)
-        c >>= 1
-        i += 1
-    return Gf2Poly(out, 2 * p.m)

@@ -67,7 +67,7 @@ exhaustively at small n.
 
 from __future__ import annotations
 
-from .bitops import div_x_plus_1, reverse_bits
+from .gf2poly import div_x_plus_1, reverse_bits
 
 
 def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:

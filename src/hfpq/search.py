@@ -57,8 +57,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import kernels
 from .analysis import kernel_from_iota, structured_iota
-from .bitops import reverse_bits, rotl
 from .core import BinaryWord
+from .gf2poly import reverse_bits, rotl
 from .typeq import TypeQCode
 
 Progress = Callable[[int, int], None]
@@ -357,27 +357,33 @@ def search_general(
 
     Every hit passes full verification; iota is attached when the kernel
     has dimension 2.  With a limit, only the images below it are kept.
+    The raw hits stream into the dedup, so memory holds one entry per
+    code and one int per image, not every raw hit.
     """
     stop = _stop(n, limit)
-    hits: list[Hit] = []
-    seen: set[int] = set()
-    for covered, found in _general(n, stop):
-        for a_bits, b_bits in found:
-            # seen holds whole orbits, so this hit's orbit is expanded already
-            if a_bits in seen:
-                continue
-            iota = structured_iota(a_bits, n)
-            if n <= 2:  # linear: K(C) = C
-                kernel = list(kernels.codeword_table(a_bits, b_bits, n))
-            else:
-                kernel = kernel_from_iota(iota, n)
-            for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
-                seen.add(image)
-                if image < stop:
-                    hits.append((n, image, b_image, iota, key))
-        if progress is not None:
-            progress(covered, len(hits))
-    return _sorted_unique(hits)
+
+    def hits() -> Iterator[Hit]:
+        raw = 0
+        seen: set[int] = set()
+        for covered, found in _general(n, stop):
+            for a_bits, b_bits in found:
+                # seen holds whole orbits, so this hit's orbit is expanded already
+                if a_bits in seen:
+                    continue
+                iota = structured_iota(a_bits, n)
+                if n <= 2:  # linear: K(C) = C
+                    kernel = list(kernels.codeword_table(a_bits, b_bits, n))
+                else:
+                    kernel = kernel_from_iota(iota, n)
+                for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
+                    seen.add(image)
+                    if image < stop:
+                        raw += 1
+                        yield n, image, b_image, iota, key
+            if progress is not None:
+                progress(covered, raw)
+
+    return _sorted_unique(hits())
 
 
 class ItoScanRow(NamedTuple):

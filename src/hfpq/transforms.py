@@ -14,12 +14,12 @@ from .analysis import IndexingInconsistency, structured_iota, verify_hfp
 from .core import BinaryWord
 from .gf2poly import (
     X_PLUS_1,
-    Gf2Poly,
-    gcd_with_modulus,
-    inflate,
-    mul_by_x,
-    phi1,
+    interleave,
+    modulus_poly,
     poly_divmod,
+    poly_gcd,
+    reverse_bits,
+    rotl,
 )
 from .typeq import (
     NotTypeQCandidate,
@@ -69,11 +69,6 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
     return out._replace(iota=structured_iota(new_a.bits, n))
 
 
-def doubled_generator_half(a_i: Gf2Poly, kappa_i: Gf2Poly) -> Gf2Poly:
-    """A_i(x) = a_i(x^2) + x kappa_i(x^2) in GF(2)[x]/(x^(2m) - 1)."""
-    return inflate(a_i) ^ mul_by_x(inflate(kappa_i), 1)
-
-
 def double_code(code: TypeQCode) -> TypeQCode:
     """Length-8n code from a verified k=2 code.
 
@@ -94,15 +89,10 @@ def double_code(code: TypeQCode) -> TypeQCode:
         raise ValueError("doubling requires a kernel of dimension 2")
     if code.iota is not None and code.iota != iota:
         raise ValueError(f"iota {code.iota} does not match the kernel ({iota})")
-    kappa = kappa_vector(iota, n)
-    mask = (1 << half) - 1
-    a1 = Gf2Poly(code.a_vec.bits & mask, half)
-    a2 = Gf2Poly(code.a_vec.bits >> half, half)
-    k1 = Gf2Poly(kappa.bits & mask, half)
-    k2 = Gf2Poly(kappa.bits >> half, half)
-    big_a1 = doubled_generator_half(a1, k1)
-    big_a2 = doubled_generator_half(a2, k2)
-    new_a = BinaryWord(big_a1.coeffs | (big_a2.coeffs << (2 * half)), 8 * n)
+    kappa = kappa_vector(iota, n).bits
+    # A_h = a_h(x^2) + x kappa_h(x^2) for both halves at once: bit 2n + i
+    # of a (bit i of a_2) lands at bit 4n + 2i, which is bit 2i of A_2
+    new_a = BinaryWord(interleave(code.a_vec.bits, kappa, 4 * n), 8 * n)
     new_b = derive_b(new_a, half)
     out = TypeQCode(half, new_a, new_b, iota=2 * iota)
     verdict = verify_hfp(out)
@@ -113,22 +103,28 @@ def double_code(code: TypeQCode) -> TypeQCode:
     return out
 
 
-def rank_criterion_operand(a1: Gf2Poly, iota: int) -> Gf2Poly:
-    """a1(x) + x^(iota+1) phi1(a1(x)) as a residue."""
-    return a1 ^ mul_by_x(phi1(a1), iota + 1)
+def rank_criterion_operand(a1: int, iota: int, n: int) -> int:
+    """a1(x) + x^(iota+1) phi1(a1(x)) mod x^(2n) - 1."""
+    half = 2 * n
+    return a1 ^ rotl(reverse_bits(a1, half), iota + 1, half)
 
 
-def rank_gcd_criterion(a1: Gf2Poly, iota: int, n: int) -> bool:
+def _check_half(p: int, n: int) -> None:
+    if not 0 <= p < 1 << (2 * n):
+        raise ValueError(f"expected a residue below 2^{2 * n}")
+
+
+def rank_gcd_criterion(a1: int, iota: int, n: int) -> bool:
     """True iff gcd(a1 + x^(iota+1) phi1(a1), x^(2n) - 1) = x + 1.
 
     A true value is sufficient for rank 2n on the realized code; the
     converse is not asserted.  Requires a1 of odd weight.
     """
-    if a1.m != 2 * n:
-        raise ValueError(f"expected modulus degree {2 * n}")
-    if a1.weight % 2 == 0:
+    _check_half(a1, n)
+    if a1.bit_count() % 2 == 0:
         raise ValueError("criterion requires a first half of odd weight")
-    return gcd_with_modulus(rank_criterion_operand(a1, iota)) == X_PLUS_1
+    operand = rank_criterion_operand(a1, iota, n)
+    return poly_gcd(operand, modulus_poly(2 * n)) == X_PLUS_1
 
 
 def _is_power_of_x_plus_1(p: int) -> bool:
@@ -149,26 +145,17 @@ class DoubleGcdCheck(NamedTuple):
     implication_holds: bool
 
 
-def doubled_criterion_operand(a1: Gf2Poly, kappa1: Gf2Poly, iota: int) -> Gf2Poly:
+def doubled_criterion_operand(a1: int, kappa1: int, iota: int, n: int) -> int:
     """A_1(x) + x^(2 iota + 1) phi(A_1(x)) with A_1 = a1(x^2) + x kappa1(x^2).
 
     Equals (a1 + x^(iota+1) phi1(a1))^2 + x (kappa1 + x^iota phi1(kappa1))^2
     mod x^(4n) - 1 (the squared-factorization identity).
     """
-    big = doubled_generator_half(a1, kappa1)
-    return big ^ mul_by_x(phi1(big), 2 * iota + 1)
+    big = interleave(a1, kappa1, 2 * n)
+    return big ^ rotl(reverse_bits(big, 4 * n), 2 * iota + 1, 4 * n)
 
 
-def squared_factorization(a1: Gf2Poly, kappa1: Gf2Poly, iota: int) -> Gf2Poly:
-    """Right-hand side of the identity, assembled from the half residues."""
-    s = rank_criterion_operand(a1, iota)
-    t = kappa1 ^ mul_by_x(phi1(kappa1), iota)
-    return inflate(s) ^ mul_by_x(inflate(t), 1)
-
-
-def double_gcd_check(
-    a1: Gf2Poly, kappa1: Gf2Poly, iota: int, n: int
-) -> DoubleGcdCheck:
+def double_gcd_check(a1: int, kappa1: int, iota: int, n: int) -> DoubleGcdCheck:
     """Evaluate the gcds on both sides of the doubling rank transfer.
 
     For code data the small-side gcd being exactly x+1 forces the big-side
@@ -177,9 +164,11 @@ def double_gcd_check(
     irreducible factor other than x+1 with x^(4n)-1 when the small side
     shares none.
     """
-    if a1.m != 2 * n or kappa1.m != 2 * n:
-        raise ValueError(f"expected modulus degree {2 * n}")
-    gcd_small = gcd_with_modulus(rank_criterion_operand(a1, iota))
-    gcd_big = gcd_with_modulus(doubled_criterion_operand(a1, kappa1, iota))
+    _check_half(a1, n)
+    _check_half(kappa1, n)
+    gcd_small = poly_gcd(rank_criterion_operand(a1, iota, n), modulus_poly(2 * n))
+    gcd_big = poly_gcd(
+        doubled_criterion_operand(a1, kappa1, iota, n), modulus_poly(4 * n)
+    )
     holds = gcd_small != X_PLUS_1 or _is_power_of_x_plus_1(gcd_big)
     return DoubleGcdCheck(gcd_small, gcd_big, holds)

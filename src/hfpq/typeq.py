@@ -21,7 +21,6 @@ from .core import (
     Perm,
     element_index,
     group_mul,
-    u_element,
 )
 from .gf2poly import Gf2Poly
 
@@ -152,13 +151,6 @@ def gamma(code: TypeQCode, g: GroupElement) -> int:
     return codeword_ints(code)[element_index(g, code.n)] & 1
 
 
-def d1_representative(code: TypeQCode, g: GroupElement) -> GroupElement:
-    """Whichever of g, gu has a word with first bit zero."""
-    if gamma(code, g) == 0:
-        return g
-    return group_mul(g, u_element(code.n), code.n)
-
-
 class CoordinateIndex(NamedTuple):
     """Row labels of the normalized Hadamard matrix.
 
@@ -168,13 +160,6 @@ class CoordinateIndex(NamedTuple):
 
     n: int
     row_order: tuple[GroupElement, ...]
-
-
-def coordinate_index(code: TypeQCode) -> CoordinateIndex:
-    n = code.n
-    rows = [GroupElement((-j) % (4 * n), False) for j in range(2 * n)]
-    rows += [GroupElement(j, True) for j in range(1, 2 * n + 1)]
-    return CoordinateIndex(n, tuple(d1_representative(code, g) for g in rows))
 
 
 class HadamardMatrixQ(NamedTuple):
@@ -211,25 +196,37 @@ def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:
 
 
 def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
-    """Rows are the D1 representatives of the row_order elements."""
+    """Rows are the words of the D1 representatives, in coordinate order."""
     from .analysis import verify_hfp
 
     verdict = verify_hfp(code)
     if not verdict.ok:
         raise VerificationError(f"{verdict.failure}: {verdict.witness}")
-    idx = coordinate_index(code)
     words = codeword_ints(code)
-    n4 = 4 * code.n
-    rows = tuple(words[element_index(g, code.n)] for g in idx.row_order)
+    order = d1_in_coordinate_order(code)
+    rows = tuple(words[i] for i in order)
     if rows[0] != 0 or any(r & 1 for r in rows):
         raise VerificationError("matrix is not normalized")
-    return HadamardMatrixQ(n4, rows, idx)
+    n4 = 4 * code.n
+    labels = tuple(GroupElement(i % n4, i >= n4) for i in order)
+    return HadamardMatrixQ(n4, rows, CoordinateIndex(code.n, labels))
 
 
 def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
-    """Element indices of D1 in coordinate order (for exact round trips)."""
+    """Element indices of the D1 representatives of e, a^-1, ..., a^-(2n-1),
+    ab, ..., a^(2n) b, read off the word table.
+
+    The representative of index i is i when bit 0 of its word is clear,
+    else the index of g u, i + 2n mod 4n in the same half: u = a^(2n) is
+    central and w(g u) = w(g) + u.
+    """
+    n4 = 4 * code.n
+    half = 2 * code.n
+    words = codeword_ints(code)
+    labels = [(-j) % n4 for j in range(half)] + list(range(n4 + 1, n4 + half + 1))
     return tuple(
-        element_index(g, code.n) for g in coordinate_index(code).row_order
+        (i + half if i % n4 < half else i - half) if words[i] & 1 else i
+        for i in labels
     )
 
 

@@ -2,8 +2,10 @@
 
 The rank by elimination (against analysis.span_rank), the kernel by
 filtering the word table and by automorphisms (against
-analysis.structured_iota), and the column relabelling of the transpose
-(against transforms.transpose_code's row order).
+analysis.structured_iota), the column relabelling of the transpose
+(against transforms.transpose_code's row order) and the right-hand side
+of the squared-factorization identity (against
+transforms.doubled_criterion_operand).
 """
 
 from __future__ import annotations
@@ -16,9 +18,30 @@ from hfpq.analysis import (
     kernel_ints,
     rank_of_ints,
 )
-from hfpq.bitops import reverse_bits, rot_halves, rotl
 from hfpq.core import BinaryWord, GroupElement, canonical_perm
+from hfpq.gf2poly import poly_mul, reverse_bits, rotl
 from hfpq.typeq import TypeQCode, codeword_ints
+
+
+def rot_halves(v: int, half: int, k: int = 1) -> int:
+    """Rotate both halves of a 2*half-bit word by k (coordinate action of x^k)."""
+    mask = (1 << half) - 1
+    lo = rotl(v & mask, k, half)
+    hi = rotl(v >> half, k, half)
+    return lo | (hi << half)
+
+
+def squared_factorization(a1: int, kappa1: int, iota: int, n: int) -> int:
+    """s^2 + x t^2 with s = a1 + x^(iota+1) phi1(a1), t = kappa1 + x^iota phi1(kappa1).
+
+    Over GF(2), p(x)^2 = p(x^2), so the squares are carry-less products;
+    s and t lie below x^(2n), so s^2 + x t^2 needs no reduction mod
+    x^(4n) - 1.
+    """
+    half = 2 * n
+    s = a1 ^ rotl(reverse_bits(a1, half), iota + 1, half)
+    t = kappa1 ^ rotl(reverse_bits(kappa1, half), iota, half)
+    return poly_mul(s, s) ^ poly_mul(t, t) << 1
 
 
 def compute_rank(codewords: Iterable[BinaryWord]) -> int:

@@ -17,7 +17,6 @@ from hfpq.analysis import (
     verify_hadamard_group,
     verify_hfp,
 )
-from hfpq.bitops import rot_halves
 from hfpq.core import BinaryWord, GroupTable, type_q_table
 from hfpq.typeq import (
     TypeQCode,
@@ -29,7 +28,12 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_KAPPA
-from .oracles import compute_rank, kernel_by_automorphism, rank_via_generators
+from .oracles import (
+    compute_rank,
+    kernel_by_automorphism,
+    rank_via_generators,
+    rot_halves,
+)
 
 
 def _linear_hadamard_length8() -> list[BinaryWord]:

@@ -5,22 +5,21 @@ import random
 import pytest
 import sympy
 
+from hfpq.core import BinaryWord
 from hfpq.gf2poly import (
     X_PLUS_1,
     Gf2Poly,
-    add,
-    div_exact_by_x_plus_1,
-    gcd,
-    gcd_with_modulus,
-    inflate,
+    div_x_plus_1,
+    interleave,
     modulus_poly,
-    mul_by_x,
-    mul_mod,
-    phi1,
     poly_divmod,
     poly_gcd,
+    poly_mod,
     poly_mul,
+    reverse_bits,
+    rotl,
 )
+from hfpq.transforms import double_gcd_check, rank_gcd_criterion
 
 _X = sympy.symbols("x")
 
@@ -39,51 +38,91 @@ def _sympy_gcd_bits(p: int, q: int) -> int:
     return out
 
 
+def _bits(s: str) -> int:
+    """Residue from a 0/1 string, leftmost character = constant term."""
+    return BinaryWord.from_string(s).bits
+
+
+def _string(p: int, m: int) -> str:
+    return BinaryWord(p, m).to_string()
+
+
+def _mul_mod(p: int, q: int, m: int) -> int:
+    """Product reduced mod x^m - 1."""
+    return poly_mod(poly_mul(p, q), modulus_poly(m))
+
+
 def test_add_self_inverse():
-    p = Gf2Poly.from_string("0110")
-    assert add(p, p) == Gf2Poly.zero(4)
+    # residues add by XOR, and the residue maps are GF(2)-linear
+    rng = random.Random(2)
+    m = 12
+    for _ in range(50):
+        p, q = rng.randrange(1 << m), rng.randrange(1 << m)
+        assert p ^ p == 0
+        assert reverse_bits(p ^ q, m) == reverse_bits(p, m) ^ reverse_bits(q, m)
+        assert rotl(p ^ q, 5, m) == rotl(p, 5, m) ^ rotl(q, 5, m)
+        r, s = rng.randrange(1 << m), rng.randrange(1 << m)
+        assert interleave(p ^ q, r ^ s, m) == interleave(p, r, m) ^ interleave(q, s, m)
+        if (p ^ q).bit_count() % 2 == 0 and p.bit_count() % 2 == 0:
+            assert div_x_plus_1(p ^ q, m) == div_x_plus_1(p, m) ^ div_x_plus_1(q, m)
 
 
 def test_add_identity_and_complement():
-    p = Gf2Poly.from_string("10110")
-    assert add(p, Gf2Poly.zero(5)) == p
-    assert add(Gf2Poly.all_ones(5), p).to_string() == "01001"
+    p = _bits("10110")
+    u = (1 << 5) - 1
+    assert p ^ 0 == p
+    assert _string(u ^ p, 5) == "01001"
+    # reversal and rotation fix u, so they commute with complementing
+    rng = random.Random(4)
+    for m in (4, 6, 12):
+        u = (1 << m) - 1
+        for _ in range(20):
+            q = rng.randrange(1 << m)
+            assert reverse_bits(q ^ u, m) == reverse_bits(q, m) ^ u
+            assert rotl(q ^ u, 3, m) == rotl(q, 3, m) ^ u
 
 
 def test_add_modulus_mismatch():
+    # an operand wider than the modulus is rejected where it is checked:
+    # the gcd criteria (0 <= a1 < 2^(2n)) and the Gf2Poly record
     with pytest.raises(ValueError):
-        add(Gf2Poly.one(4), Gf2Poly.one(6))
+        rank_gcd_criterion(1 << 4, 0, 2)
+    with pytest.raises(ValueError):
+        rank_gcd_criterion(-1, 0, 2)
+    with pytest.raises(ValueError):
+        double_gcd_check(1, 1 << 4, 0, 2)
+    with pytest.raises(ValueError):
+        double_gcd_check(1 << 4, 0, 0, 2)
+    with pytest.raises(ValueError):
+        Gf2Poly(1 << 6, 6)
 
 
 def test_mul_mod_wraparound():
     m = 8
-    x = Gf2Poly(1 << 1, m)
-    x_top = Gf2Poly(1 << (m - 1), m)
-    assert mul_mod(x, x_top) == Gf2Poly.one(m)
+    assert _mul_mod(1 << 1, 1 << (m - 1), m) == 1
 
 
 def test_mul_mod_by_x_is_cyclic_shift():
     rng = random.Random(3)
     for m in (4, 6, 12):
-        x = Gf2Poly(1 << 1, m)
         for _ in range(20):
-            p = Gf2Poly(rng.randrange(1 << m), m)
-            shifted = mul_mod(x, p)
-            assert shifted == mul_by_x(p, 1)
-            assert shifted.to_string() == p.to_string()[-1] + p.to_string()[:-1]
+            p = rng.randrange(1 << m)
+            shifted = _mul_mod(1 << 1, p, m)
+            assert shifted == rotl(p, 1, m)
+            s = _string(p, m)
+            assert _string(shifted, m) == s[-1] + s[:-1]
 
 
 def test_mul_mod_x_plus_1_times_all_ones_vanishes():
     for m in (4, 8, 12):
-        xp1 = Gf2Poly(X_PLUS_1, m)
-        assert mul_mod(xp1, Gf2Poly.all_ones(m)) == Gf2Poly.zero(m)
+        assert _mul_mod(X_PLUS_1, (1 << m) - 1, m) == 0
 
 
 def test_mul_mod_m_fold_shift_is_identity():
-    p = Gf2Poly.from_string("110100101011")
+    p = _bits("110100101011")
     q = p
     for _ in range(12):
-        q = mul_by_x(q, 1)
+        q = rotl(q, 1, 12)
     assert q == p
 
 
@@ -97,10 +136,10 @@ def test_gcd_frozen_cases():
 
 def test_gcd_reference_operand():
     # first half of the embedded example: a1 + phi1(a1), gcd with x^12 + 1
-    a1 = Gf2Poly.from_string("111111011010")
-    op = add(a1, mul_by_x(phi1(a1), 12))
-    assert op.coeffs == 0b1010_0110_0101  # x^11+x^9+x^6+x^5+x^2+1
-    assert gcd_with_modulus(op) == X_PLUS_1
+    a1 = _bits("111111011010")
+    op = a1 ^ rotl(reverse_bits(a1, 12), 12, 12)
+    assert op == 0b1010_0110_0101  # x^11+x^9+x^6+x^5+x^2+1
+    assert poly_gcd(op, modulus_poly(12)) == X_PLUS_1
 
 
 def test_gcd_both_zero_rejected():
@@ -131,74 +170,79 @@ def test_gcd_with_modulus_respects_square_structure():
     rng = random.Random(9)
     for _ in range(50):
         m = 6
-        p = Gf2Poly(rng.randrange(1, 1 << m), m)
-        g_small = poly_gcd(p.coeffs, modulus_poly(m))
-        g_big = poly_gcd(inflate(p).coeffs, modulus_poly(2 * m))
+        p = rng.randrange(1, 1 << m)
+        g_small = poly_gcd(p, modulus_poly(m))
+        g_big = poly_gcd(interleave(p, 0, m), modulus_poly(2 * m))
         assert g_big == poly_mul(g_small, g_small)
 
 
 def test_div_exact_small_case():
     # p = x + 1 in m = 4: solutions {1, 1+u}; representative has constant term 0
-    p = Gf2Poly.from_string("1100")
-    q = div_exact_by_x_plus_1(p)
-    assert q.to_string() == "0111"
-    assert mul_mod(Gf2Poly(X_PLUS_1, 4), q) == p
+    p = _bits("1100")
+    q = div_x_plus_1(p, 4)
+    assert _string(q, 4) == "0111"
+    assert _mul_mod(X_PLUS_1, q, 4) == p
 
 
 def test_div_exact_zero():
-    assert div_exact_by_x_plus_1(Gf2Poly.zero(6)) == Gf2Poly.zero(6)
+    assert div_x_plus_1(0, 6) == 0
 
 
 def test_div_exact_odd_weight_rejected():
     with pytest.raises(ValueError):
-        div_exact_by_x_plus_1(Gf2Poly.from_string("1110"))
+        div_x_plus_1(_bits("1110"), 4)
 
 
 def test_div_exact_reference_half():
     # (a1 + x phi1(a2)) / (x+1) reproduces the printed first half of b
-    a1 = Gf2Poly.from_string("111111011010")
-    a2 = Gf2Poly.from_string("101001000000")
-    q = div_exact_by_x_plus_1(add(a1, mul_by_x(phi1(a2), 1)))
-    assert q.to_string() == "010101110000"
+    a1 = _bits("111111011010")
+    a2 = _bits("101001000000")
+    q = div_x_plus_1(a1 ^ rotl(reverse_bits(a2, 12), 1, 12), 12)
+    assert _string(q, 12) == "010101110000"
 
 
 def test_div_exact_remultiplication_roundtrip():
     rng = random.Random(17)
     for m in (4, 6, 12):
-        xp1 = Gf2Poly(X_PLUS_1, m)
+        u = (1 << m) - 1
         for _ in range(50):
-            p = Gf2Poly(rng.randrange(1 << m), m)
-            if p.weight % 2:
+            p = rng.randrange(1 << m)
+            if p.bit_count() % 2:
                 continue
-            q = div_exact_by_x_plus_1(p)
-            assert q.coeffs & 1 == 0
-            assert mul_mod(xp1, q) == p
-            assert mul_mod(xp1, q ^ Gf2Poly.all_ones(m)) == p
+            q = div_x_plus_1(p, m)
+            assert q & 1 == 0
+            assert _mul_mod(X_PLUS_1, q, m) == p
+            assert _mul_mod(X_PLUS_1, q ^ u, m) == p
 
 
 def test_phi1_definition_and_involution():
-    p = Gf2Poly.from_string("1100")  # 1 + x, m = 4
-    assert phi1(p).to_string() == "0011"  # x^2 + x^3
+    p = _bits("1100")  # 1 + x, m = 4
+    assert _string(reverse_bits(p, 4), 4) == "0011"  # x^2 + x^3
     rng = random.Random(23)
     for _ in range(50):
-        q = Gf2Poly(rng.randrange(1 << 12), 12)
-        assert phi1(phi1(q)) == q
-        assert phi1(q).weight == q.weight
+        q = rng.randrange(1 << 12)
+        assert reverse_bits(reverse_bits(q, 12), 12) == q
+        assert reverse_bits(q, 12).bit_count() == q.bit_count()
 
 
 def test_phi2_of_inflated_is_shifted_phi1():
     rng = random.Random(29)
     for _ in range(100):
-        p = Gf2Poly(rng.randrange(1 << 10), 10)
-        assert phi1(inflate(p)) == mul_by_x(inflate(phi1(p)), 1)
+        p = rng.randrange(1 << 10)
+        assert reverse_bits(interleave(p, 0, 10), 20) == rotl(
+            interleave(reverse_bits(p, 10), 0, 10), 1, 20
+        )
 
 
 def test_inflate_examples():
-    assert inflate(Gf2Poly.from_string("11")).to_string() == "1010"
-    assert inflate(Gf2Poly.zero(5)) == Gf2Poly.zero(10)
+    assert _string(interleave(_bits("11"), 0, 2), 4) == "1010"
+    assert interleave(0, 0, 5) == 0
     rng = random.Random(31)
     for _ in range(50):
-        p = Gf2Poly(rng.randrange(1 << 12), 12)
-        q = inflate(p)
-        assert q.weight == p.weight
-        assert all((q.coeffs >> i) & 1 == 0 for i in range(1, 24, 2))
+        p = rng.randrange(1 << 12)
+        q = interleave(p, 0, 12)
+        assert q.bit_count() == p.bit_count()
+        assert all((q >> i) & 1 == 0 for i in range(1, 24, 2))
+        # over GF(2), p(x^2) = p(x)^2, and x p(x^2) fills the odd bits
+        assert q == poly_mul(p, p)
+        assert interleave(0, p, 12) == q << 1

@@ -7,10 +7,11 @@ import pytest
 
 from hfpq import kernels, kernels_py
 from hfpq.analysis import verify_hfp
-from hfpq.bitops import reverse_bits, rot_halves, rotl
 from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
-from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul
+from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul, reverse_bits, rotl
 from hfpq.typeq import TypeQCode
+
+from .oracles import rot_halves
 
 
 def test_codeword_table_matches_perm_objects(golden):

@@ -13,7 +13,6 @@ from hfpq.analysis import (
     structured_iota,
     verify_hfp,
 )
-from hfpq.bitops import rotl
 from hfpq.core import (
     BinaryWord,
     GroupElement,
@@ -23,7 +22,7 @@ from hfpq.core import (
     group_mul,
     prop_mul,
 )
-from hfpq.gf2poly import Gf2Poly, mul_by_x, phi1
+from hfpq.gf2poly import reverse_bits, rotl
 from hfpq.search import (
     ItoScanRow,
     _expand,
@@ -317,14 +316,15 @@ def test_progress_callback_invoked():
 
 
 def _structured_b_first(n):
-    """The structured loop in its b-first order, a2 through Gf2Poly."""
+    """The structured loop in its b-first order, a2 by rotl and reverse_bits."""
     half = 2 * n
+    mask = (1 << half) - 1
     for iota in range(half):
         for a1 in range(1 << half):
             if a1.bit_count() % 2 == 0:
                 continue
-            a2 = mul_by_x(phi1(Gf2Poly(a1, half)), iota + 1) ^ Gf2Poly.all_ones(half)
-            a_bits = a1 | (a2.coeffs << half)
+            a2 = rotl(reverse_bits(a1, half), iota + 1, half) ^ mask
+            a_bits = a1 | (a2 << half)
             b_bits = kernels.derive_b_bits(a_bits, n)
             if b_bits is None:
                 continue
@@ -427,7 +427,7 @@ def _assert_images_match_fresh(raw, n):
 
 
 def _sigma_ref(w, s, n):
-    """sigma_s through bitops.rotl: half 1 rotated by +s, half 2 by -s."""
+    """sigma_s through gf2poly.rotl: half 1 rotated by +s, half 2 by -s."""
     half = 2 * n
     mask = (1 << half) - 1
     return rotl(w & mask, s, half) | rotl(w >> half, -s, half) << half

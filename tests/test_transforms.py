@@ -6,14 +6,22 @@ import pytest
 
 from hfpq.analysis import analyze, compute_kernel, kernel_from_iota, structured_iota
 from hfpq.core import BinaryWord
-from hfpq.gf2poly import X_PLUS_1, Gf2Poly, poly_mul
+from hfpq.gf2poly import (
+    X_PLUS_1,
+    modulus_poly,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+    reverse_bits,
+    rotl,
+)
+from hfpq.search import search_k2
 from hfpq.transforms import (
     double_code,
     double_gcd_check,
     doubled_criterion_operand,
     rank_criterion_operand,
     rank_gcd_criterion,
-    squared_factorization,
     transpose_code,
 )
 from hfpq.typeq import (
@@ -26,17 +34,15 @@ from hfpq.typeq import (
     make_code,
 )
 
-from .oracles import kernel_iota, transpose_relabel
+from .oracles import kernel_iota, squared_factorization, transpose_relabel
 
 
-def _kappa1(code: TypeQCode) -> Gf2Poly:
-    half = 2 * code.n
-    return Gf2Poly(kappa_vector(code.iota, code.n).bits & ((1 << half) - 1), half)
+def _kappa1(code: TypeQCode) -> int:
+    return kappa_vector(code.iota, code.n).bits & ((1 << (2 * code.n)) - 1)
 
 
-def _a1(code: TypeQCode) -> Gf2Poly:
-    half = 2 * code.n
-    return Gf2Poly(code.a_vec.bits & ((1 << half) - 1), half)
+def _a1(code: TypeQCode) -> int:
+    return code.a_vec.bits & ((1 << (2 * code.n)) - 1)
 
 
 def test_transpose_reference(golden):
@@ -140,6 +146,29 @@ def test_double_kernel_pattern(golden):
     assert basis[1].to_string() == half + half  # alternating word in both halves
 
 
+def _doubled_by_bit(a: int, kappa: int, n: int) -> int:
+    """A_h = a_h(x^2) + x kappa_h(x^2) per half, one bit at a time."""
+    half = 2 * n
+    out = 0
+    for h in (0, 1):
+        for i in range(half):
+            out |= ((a >> (h * half + i)) & 1) << (2 * h * half + 2 * i)
+            out |= ((kappa >> (h * half + i)) & 1) << (2 * h * half + 2 * i + 1)
+    return out
+
+
+def test_doubled_generator_bit_by_bit(golden, golden_chain, k2_hits):
+    # bit 2i of each new half is bit i of a_h, bit 2i+1 is bit i of kappa_h:
+    # every code of search_k2(4), (6) and (8), and the golden chain to 768
+    pairs = [(c, double_code(c)) for c in k2_hits[4] + k2_hits[6] + search_k2(8)]
+    sources = [golden] + [doubled for doubled, _ in golden_chain]
+    pairs += list(zip(sources, sources[1:]))
+    assert pairs[-1][1].length == 768
+    for code, doubled in pairs:
+        kappa = kappa_vector(code.iota, code.n).bits
+        assert doubled.a_vec.bits == _doubled_by_bit(code.a_vec.bits, kappa, code.n)
+
+
 def test_double_then_transpose(golden):
     td = transpose_code(double_code(golden))
     rep = analyze(td)
@@ -178,8 +207,8 @@ def test_double_preserves_maximal_rank(k2_hits):
 
 def test_rank_criterion_reference(golden):
     a1 = _a1(golden)
-    op = rank_criterion_operand(a1, 11)
-    assert op.to_string() == "101001100101"  # 1+x^2+x^5+x^6+x^9+x^11
+    op = rank_criterion_operand(a1, 11, 6)
+    assert op == BinaryWord.from_string("101001100101").bits  # 1+x^2+x^5+x^6+x^9+x^11
     assert rank_gcd_criterion(a1, 11, 6) is True
     assert analyze(golden).rank == 12
 
@@ -187,19 +216,17 @@ def test_rank_criterion_reference(golden):
 def test_rank_criterion_monomial():
     # a1 = 1 with iota = 2n-1: operand 1 + x^(2n-1), gcd x+1
     n = 4
-    assert rank_gcd_criterion(Gf2Poly.one(2 * n), 2 * n - 1, n) is True
+    assert rank_gcd_criterion(1, 2 * n - 1, n) is True
 
 
 def test_rank_criterion_square_factor_fails():
     # operand divisible by (x+1)^2 cannot pass
     n = 3
-    a1 = Gf2Poly.from_string("111000")  # weight 3, odd
+    a1 = 0b111  # 1 + x + x^2, weight 3, odd
     found_false = False
     for iota in range(2 * n):
-        op = rank_criterion_operand(a1, iota)
-        from hfpq.gf2poly import gcd_with_modulus, poly_divmod
-
-        g = gcd_with_modulus(op)
+        op = rank_criterion_operand(a1, iota, n)
+        g = poly_gcd(op, modulus_poly(2 * n))
         if poly_divmod(g, poly_mul(X_PLUS_1, X_PLUS_1))[1] == 0:
             found_false = True
             assert rank_gcd_criterion(a1, iota, n) is False
@@ -208,7 +235,7 @@ def test_rank_criterion_square_factor_fails():
 
 def test_rank_criterion_rejects_even_weight():
     with pytest.raises(ValueError):
-        rank_gcd_criterion(Gf2Poly.from_string("1100"), 0, 2)
+        rank_gcd_criterion(0b11, 0, 2)
 
 
 def test_rank_criterion_soundness_over_hits(k2_hits):
@@ -223,23 +250,22 @@ def test_squared_factorization_identity_random():
     for _ in range(500):
         n = rng.randint(2, 6)
         half = 2 * n
-        a1 = Gf2Poly(rng.randrange(1 << half), half)
-        k1 = Gf2Poly(rng.randrange(1 << half), half)
+        a1 = rng.randrange(1 << half)
+        k1 = rng.randrange(1 << half)
         iota = rng.randrange(half)
-        assert doubled_criterion_operand(a1, k1, iota) == squared_factorization(a1, k1, iota)
+        assert doubled_criterion_operand(a1, k1, iota, n) == squared_factorization(
+            a1, k1, iota, n
+        )
 
 
 def test_kappa_self_pairing_identity():
     # kappa1 + x^iota phi1(kappa1) is 0 for odd iota and u for even iota
-    from hfpq.gf2poly import mul_by_x, phi1
-
     for n in (2, 3, 6):
         half = 2 * n
-        v = Gf2Poly(sum(1 << i for i in range(1, half, 2)), half)
+        v = sum(1 << i for i in range(1, half, 2))
         for iota in range(half):
-            t = v ^ mul_by_x(phi1(v), iota)
-            expected = Gf2Poly.zero(half) if iota % 2 else Gf2Poly.all_ones(half)
-            assert t == expected
+            t = v ^ rotl(reverse_bits(v, half), iota, half)
+            assert t == (0 if iota % 2 else (1 << half) - 1)
 
 
 def test_double_gcd_check_reference(golden):
@@ -249,8 +275,8 @@ def test_double_gcd_check_reference(golden):
     assert chk.implication_holds
     # big side is exactly the doubled code's own criterion operand
     d = double_code(golden)
-    assert doubled_criterion_operand(_a1(golden), _kappa1(golden), 11) == (
-        rank_criterion_operand(_a1(d), d.iota)
+    assert doubled_criterion_operand(_a1(golden), _kappa1(golden), 11, 6) == (
+        rank_criterion_operand(_a1(d), d.iota, d.n)
     )
 
 
@@ -283,11 +309,11 @@ def test_double_gcd_exhaustive_small():
     # all odd-weight a1 and all iota at n=2: implication never violated
     n = 2
     half = 2 * n
-    v = Gf2Poly(sum(1 << i for i in range(1, half, 2)), half)
+    v = sum(1 << i for i in range(1, half, 2))
     for a1_bits in range(1 << half):
         if a1_bits.bit_count() % 2 == 0:
             continue
         for iota in range(half):
-            for k1 in (v, v ^ Gf2Poly.all_ones(half)):
-                chk = double_gcd_check(Gf2Poly(a1_bits, half), k1, iota, n)
+            for k1 in (v, v ^ ((1 << half) - 1)):
+                chk = double_gcd_check(a1_bits, k1, iota, n)
                 assert chk.implication_holds

@@ -12,7 +12,7 @@ from hfpq.core import (
     prop_mul,
     type_q_table,
 )
-from hfpq.gf2poly import Gf2Poly
+from hfpq.gf2poly import Gf2Poly, reverse_bits, rotl
 from hfpq.typeq import (
     HadamardMatrixQ,
     NotHadamardGroup,
@@ -24,7 +24,6 @@ from hfpq.typeq import (
     codeword_ints,
     codeword_set,
     construct_from_group,
-    coordinate_index,
     d1_in_coordinate_order,
     derive_a2,
     derive_b,
@@ -44,11 +43,9 @@ def test_derive_b_reference(golden):
 
 def test_derive_b_zero_dividend():
     # a1 = x phi1(a2) makes both dividends vanish: b halves are 0 or u
-    from hfpq.gf2poly import mul_by_x, phi1
-
-    a2 = Gf2Poly.from_string("1011")
-    a1 = mul_by_x(phi1(a2), 1)
-    a = BinaryWord(a1.coeffs | (a2.coeffs << 4), 8)
+    a2 = BinaryWord.from_string("1011").bits
+    a1 = rotl(reverse_bits(a2, 4), 1, 4)
+    a = BinaryWord(a1 | (a2 << 4), 8)
     b = derive_b(a, 2)
     assert (b.bits & 0b1111) in (0, 0b1111)
     assert (b.bits >> 4) in (0, 0b1111)
@@ -59,18 +56,21 @@ def test_derive_b_odd_weight_rejected():
         derive_b(BinaryWord.from_string("10000000"), 2)
 
 
+def _poly(s: str) -> Gf2Poly:
+    """Residue from a 0/1 string, leftmost character = constant term."""
+    return Gf2Poly(BinaryWord.from_string(s).bits, len(s))
+
+
 def test_derive_a2_reference():
-    a1 = Gf2Poly.from_string("111111011010")
-    assert derive_a2(a1, 11, 6).to_string() == "101001000000"
+    assert derive_a2(_poly("111111011010"), 11, 6) == _poly("101001000000")
 
 
 def test_derive_a2_monomial():
     # a1 = 1: phi1(1) = x^(2n-1), so a2 = x^iota + u
     n = 3
     for iota in range(2 * n):
-        a2 = derive_a2(Gf2Poly.one(2 * n), iota, n)
-        expected = Gf2Poly(1 << iota, 2 * n) ^ Gf2Poly.all_ones(2 * n)
-        assert a2 == expected
+        a2 = derive_a2(Gf2Poly(1, 2 * n), iota, n)
+        assert a2 == Gf2Poly((1 << iota) ^ ((1 << (2 * n)) - 1), 2 * n)
 
 
 def test_derive_a2_paired_relation_is_involutive():
@@ -143,7 +143,7 @@ def test_rotated_diagonal_never_fixes_a_power_n(golden):
 
 def test_coordinate_indexing_equation(golden):
     # position i is indexed by the unique x in D1 with e_1 = pi_x(e_i)
-    idx = coordinate_index(golden)
+    idx = build_matrix(golden).index
     for i, x in enumerate(idx.row_order):
         assert canonical_perm(x, golden.n).images[i] == 0
         assert element_vector(x, golden).bit(1) == 0
@@ -172,14 +172,18 @@ def test_complemented_generator_gives_same_code(golden):
     assert codeword_set(alt) == codeword_set(golden)
 
 
-def test_matrix_entry_matches_matrix(golden):
-    H = build_matrix(golden)
-    idx = H.index
-    for i in range(24):
-        for j in range(24):
-            assert (H.rows[i] >> j) & 1 == matrix_entry(
-                idx.row_order[i], idx.row_order[j], golden
-            )
+def test_matrix_entry_matches_matrix(golden, golden_chain, general_hits, k2_hits):
+    # rows read off the word table against the gamma oracle entry by entry:
+    # every code of search_general(4) and search_k2(6), and the golden
+    # chain to length 192
+    chain = [code for step in golden_chain[:3] for code in step]
+    for code in [golden] + chain + general_hits[4] + k2_hits[6]:
+        H = build_matrix(code)
+        labels = H.index.row_order
+        for row, x in zip(H.rows, labels):
+            assert [(row >> j) & 1 for j in range(H.order)] == [
+                matrix_entry(x, y, code) for y in labels
+            ]
 
 
 def test_matrix_entry_normalization(golden):
@@ -211,7 +215,7 @@ def test_transposed_rows_matches_bitwise_reference(golden, golden_chain):
     rng = random.Random(3)
     for order in range(1, 71):
         rows = tuple(rng.getrandbits(order) for _ in range(order))
-        H = HadamardMatrixQ(order, rows, coordinate_index(golden))
+        H = HadamardMatrixQ(order, rows, build_matrix(golden).index)
         assert H.transposed_rows() == _columns_by_bit(rows)
     for code in [golden] + [doubled for doubled, _ in golden_chain]:
         H = build_matrix(code)
