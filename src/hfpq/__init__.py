@@ -2,25 +2,12 @@
 
 from .analysis import (
     AnalysisReport,
-    Verdict,
     analyze,
     classify,
     compute_kernel,
     project_onto_support,
-    verify_hadamard_group,
-    verify_hfp,
 )
-from .core import (
-    BinaryWord,
-    GroupElement,
-    GroupTable,
-    Perm,
-    apply_perm,
-    canonical_perm,
-    compose,
-    group_mul,
-    prop_mul,
-)
+from .core import BinaryWord, GroupElement, GroupTable, group_mul
 from .gf2poly import Gf2Poly
 from .search import ItoScanRow, ito_scan, search_general, search_k2
 from .transforms import (
@@ -31,11 +18,11 @@ from .transforms import (
     transpose_code,
 )
 from .typeq import (
-    CoordinateIndex,
     HadamardMatrixQ,
     NotHadamardGroup,
     NotTypeQCandidate,
     TypeQCode,
+    Verdict,
     build_matrix,
     construct_from_group,
     derive_a2,
@@ -44,6 +31,8 @@ from .typeq import (
     kappa_vector,
     make_code,
     matrix_entry,
+    verify_hadamard_group,
+    verify_hfp,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BinaryWord",
-    "CoordinateIndex",
     "DoubleGcdCheck",
     "Gf2Poly",
     "GroupElement",
@@ -60,15 +48,11 @@ __all__ = [
     "ItoScanRow",
     "NotHadamardGroup",
     "NotTypeQCandidate",
-    "Perm",
     "TypeQCode",
     "Verdict",
     "analyze",
-    "apply_perm",
     "build_matrix",
-    "canonical_perm",
     "classify",
-    "compose",
     "compute_kernel",
     "construct_from_group",
     "derive_a2",
@@ -82,7 +66,6 @@ __all__ = [
     "make_code",
     "matrix_entry",
     "project_onto_support",
-    "prop_mul",
     "rank_gcd_criterion",
     "search_general",
     "search_k2",

@@ -1,4 +1,4 @@
-"""Rank, kernel, axiom verification and theorem-bound classification.
+"""Rank, kernel and theorem-bound classification.
 
 Rank is the GF(2) dimension of the linear span of the codeword set; the
 kernel K(C) collects the translations z with C + z = C.  With the zero
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .core import BinaryWord, GroupElement, GroupTable
+from .core import BinaryWord
 from .gf2poly import modulus_poly, poly_degree, poly_gcd, poly_mul, reverse_bits
-from .typeq import TypeQCode, codeword_ints, kappa_vector
+from .typeq import TypeQCode, codeword_ints, kappa_vector, verify_hfp
 
 
 class NotKernelElement(ValueError):
@@ -20,20 +20,6 @@ class NotKernelElement(ValueError):
 
 class IndexingInconsistency(RuntimeError):
     """Self-check failure: derived data disagrees with the code's indexing."""
-
-
-class Verdict(NamedTuple):
-    """Outcome of an axiom check; witness points at the first violation."""
-
-    ok: bool
-    failure: str | None = None
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-PASS = Verdict(True)
 
 
 def two_adic_split(length: int) -> tuple[int, int]:
@@ -261,88 +247,6 @@ def is_linear_code(words: Iterable[int]) -> bool:
     """Closure of the word set under XOR (0 assumed present)."""
     word_set = frozenset(words)
     return all((x ^ y) in word_set for x in word_set for y in word_set)
-
-
-def verify_hfp(code: TypeQCode) -> Verdict:
-    """Propelinear + Hadamard verification of a type-Q candidate.
-
-    Checks, in this order, the defining relations as words (a^(2n) = u,
-    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^(n-1).  Given
-    a^(2n) = u, wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the
-    half-profile lemma), so a, ..., a^(2n-1) all have weight 2n.  Given
-    the relations these imply weight 2n at every word outside {e, u} and
-    the distinctness of the 8n words, which make the code Hadamard (the
-    theorem and its proof are in the kernels_py module docstring).
-
-    The permutation axioms depend on n alone, not on (a, b), so they are
-    proved here once instead of checked per code.  Every pi_g is
-    pi_a^k pi_b^j with k = i mod 2n for g = a^i b^j, pi_a the rotation by
-    one inside each half and pi_b the full reversal.  For j = 0 and
-    k != 0, a rotation by k inside each half has no fixed point; k = 0
-    exactly for g in {e, u}, where pi_g is the identity.  For j = 1, pi_b
-    swaps the two halves and pi_a^k keeps each half, so there is no fixed
-    point.  pi_a^(2n) = pi_b^2 = id and pi_b pi_a pi_b = pi_a^-1 match the
-    defining relations a^(4n) = e, b^2 = a^(2n) and b^-1 a b = a^-1, so
-    g -> pi_g is a homomorphism.  tests/test_core.py checks all three
-    facts exhaustively for n <= 8.
-    """
-    n = code.n
-    length = code.length
-    u = (1 << length) - 1
-    words = codeword_ints(code)
-
-    if words[2 * n] != u:
-        return Verdict(False, "RelationViolation", "a^{2n} != u")
-    b = words[4 * n]
-    if b ^ reverse_bits(b, length) != u:
-        return Verdict(False, "RelationViolation", "b^2 != u")
-    if b ^ reverse_bits(words[1], length) != words[4 * n + (4 * n - 1)]:
-        return Verdict(False, "RelationViolation", "b a != a^{-1} b")
-
-    for i in range(1, n):
-        weight = words[i].bit_count()
-        if weight != 2 * n:
-            return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))
-    return PASS
-
-
-def verify_hadamard_group(table: GroupTable, D: Iterable[int], u: int) -> Verdict:
-    """Exhaustive check of the Hadamard group conditions on (G, D, u).
-
-    Condition (i): |aD n D| = |G|/4 for a outside <u>; condition (ii):
-    |aD n {b, bu}| = 1 for all a, b.  Also checks the derived facts that
-    D and uD are disjoint and cover G, and that u is a central involution.
-    """
-    order = table.order
-    if order % 8 != 0:
-        return Verdict(False, "OrderViolation", order)
-    n = order // 8
-    d_set = frozenset(D)
-    if len(d_set) != 4 * n:
-        return Verdict(False, "SubsetSizeViolation", len(d_set))
-    e = table.identity
-    if u == e or table.product(u, u) != e:
-        return Verdict(False, "InvolutionViolation", u)
-    if not table.is_central(u):
-        return Verdict(False, "CentralityViolation", u)
-    u_d = frozenset(table.product(u, d) for d in d_set)
-    if d_set & u_d:
-        return Verdict(False, "DisjointnessViolation", sorted(d_set & u_d)[0])
-    if len(d_set | u_d) != order:
-        return Verdict(False, "CoverViolation", None)
-    a_d = {a: frozenset(table.product(a, d) for d in d_set) for a in range(order)}
-    for a in range(order):
-        if a == e or a == u:
-            continue
-        inter = len(a_d[a] & d_set)
-        if inter != 2 * n:
-            return Verdict(False, "IntersectionViolation", (a, inter))
-    for a in range(order):
-        for b in range(order):
-            count = (b in a_d[a]) + (table.product(u, b) in a_d[a])
-            if count != 1:
-                return Verdict(False, "TransversalViolation", (a, b, count))
-    return PASS
 
 
 def project_onto_support(

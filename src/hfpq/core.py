@@ -1,4 +1,4 @@
-"""Binary words, coordinate permutations and the abstract type-Q group.
+"""Binary words and the abstract type-Q group.
 
 Words are length-L bit vectors over GF(2) (int bitset, bit i = coordinate
 i+1).  A permutation pi acts on words by pi(v)_{pi(i)} = v_i, so
@@ -8,7 +8,10 @@ The type-Q group of order 8n is <a, b : a^{4n} = e, a^{2n} = b^2,
 b^{-1} a b = a^{-1}>; elements are kept in the normal form a^i b^j with
 0 <= i < 4n, j in {0, 1}.  Its canonical coordinate permutations on 4n
 positions are pi_a = (1,...,2n)(2n+1,...,4n) and pi_b = (1,4n)(2,4n-1)...
-(2n,2n+1); g -> pi_g is a homomorphism with kernel {e, a^{2n}}.
+(2n,2n+1); g -> pi_g is a homomorphism with kernel {e, a^{2n}}.  The
+library applies them only inside the word table (kernels_py.codeword_table);
+tests/oracles.py holds them as permutation objects, the reference the
+tests check the word table against.
 """
 
 from __future__ import annotations
@@ -84,96 +87,6 @@ class BinaryWord(_BinaryWordFields):
         return BinaryWord(self.bits ^ other.bits, self.length)
 
 
-class _PermFields(NamedTuple):
-    images: tuple[int, ...]
-
-
-class Perm(_PermFields):
-    """Permutation of coordinate positions; images[i] = pi(i), 0-based.
-
-    len() is the number of positions, not the number of fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, images: tuple[int, ...]) -> "Perm":
-        if sorted(images) != list(range(len(images))):
-            raise ValueError("images are not a bijection of 0..L-1")
-        return tuple.__new__(cls, (images,))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Perm":
-        return cls(*iterable)
-
-    @classmethod
-    def identity(cls, length: int) -> "Perm":
-        return cls(tuple(range(length)))
-
-    @classmethod
-    def from_cycles(cls, length: int, cycles: Iterable[Iterable[int]]) -> "Perm":
-        """Build from disjoint cycles in 1-based notation."""
-        images = list(range(length))
-        for cycle in cycles:
-            cyc = [c - 1 for c in cycle]
-            for i, c in enumerate(cyc):
-                images[c] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        """1-based positions fixed by the permutation."""
-        return tuple(i + 1 for i, j in enumerate(self.images) if i == j)
-
-    def apply_bits(self, bits: int) -> int:
-        out = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                out |= 1 << self.images[i]
-            bits >>= 1
-            i += 1
-        return out
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        ident = Perm.identity(len(self.images))
-        while p != ident:
-            p = compose(p, self)
-            n += 1
-        return n
-
-
-def apply_perm(p: Perm, w: BinaryWord) -> BinaryWord:
-    """Place the value of position i at position pi(i)."""
-    if len(p) != w.length:
-        raise ValueError(f"length mismatch: perm {len(p)} vs word {w.length}")
-    return BinaryWord(p.apply_bits(w.bits), w.length)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i)); apply_perm(compose(p, q), w) applies q first."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
-    return Perm(tuple(p.images[j] for j in q.images))
-
-
-def prop_mul(x: BinaryWord, pi_x: Perm, y: BinaryWord) -> BinaryWord:
-    """Propelinear product x * y = x + pi_x(y)."""
-    return x ^ apply_perm(pi_x, y)
-
-
 class GroupElement(NamedTuple):
     """Normal form a^exp_a * b^has_b of the type-Q group."""
 
@@ -182,19 +95,6 @@ class GroupElement(NamedTuple):
 
     def __repr__(self) -> str:
         return f"a^{self.exp_a}b" if self.has_b else f"a^{self.exp_a}"
-
-
-IDENTITY = GroupElement(0, False)
-
-
-def element(exp_a: int, has_b: bool, n: int) -> GroupElement:
-    """Normalize the exponent into [0, 4n)."""
-    return GroupElement(exp_a % (4 * n), bool(has_b))
-
-
-def u_element(n: int) -> GroupElement:
-    """The central involution a^{2n} = b^2."""
-    return GroupElement(2 * n, False)
 
 
 def group_mul(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
@@ -207,22 +107,6 @@ def group_mul(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
     return GroupElement((g.exp_a - h.exp_a + 2 * n) % order_a, False)
 
 
-def group_inv(g: GroupElement, n: int) -> GroupElement:
-    order_a = 4 * n
-    if not g.has_b:
-        return GroupElement((-g.exp_a) % order_a, False)
-    return GroupElement((g.exp_a + 2 * n) % order_a, True)
-
-
-def group_pow(g: GroupElement, k: int, n: int) -> GroupElement:
-    if k < 0:
-        return group_pow(group_inv(g, n), -k, n)
-    out = IDENTITY
-    for _ in range(k):
-        out = group_mul(out, g, n)
-    return out
-
-
 def all_elements(n: int) -> Iterator[GroupElement]:
     """The 8n elements: a^0..a^{4n-1}, then a^0 b..a^{4n-1} b."""
     for has_b in (False, True):
@@ -233,39 +117,6 @@ def all_elements(n: int) -> Iterator[GroupElement]:
 def element_index(g: GroupElement, n: int) -> int:
     """Index of g in the all_elements(n) ordering."""
     return g.exp_a + (4 * n if g.has_b else 0)
-
-
-def pi_a(n: int) -> Perm:
-    """Rotation by one inside each half: (1,...,2n)(2n+1,...,4n)."""
-    half = 2 * n
-    images = [(i + 1) % half for i in range(half)]
-    images += [half + ((i + 1) % half) for i in range(half)]
-    return Perm(tuple(images))
-
-
-def pi_b(n: int) -> Perm:
-    """Order-2 reflection (1,4n)(2,4n-1)...(2n,2n+1)."""
-    length = 4 * n
-    return Perm(tuple(length - 1 - i for i in range(length)))
-
-
-def canonical_perm(g: GroupElement, n: int) -> Perm:
-    """pi_g = pi_a^exp_a o pi_b^has_b; kernel of g -> pi_g is {e, a^{2n}}."""
-    half = 2 * n
-    k = g.exp_a % half
-    if g.has_b:
-        # pi_a^k o pi_b: i -> pi_a^k(4n-1-i)
-        images = []
-        for i in range(4 * n):
-            j = 4 * n - 1 - i
-            if j < half:
-                images.append((j + k) % half)
-            else:
-                images.append(half + ((j - half + k) % half))
-        return Perm(tuple(images))
-    images = [(i + k) % half for i in range(half)]
-    images += [half + ((i + k) % half) for i in range(half)]
-    return Perm(tuple(images))
 
 
 class _GroupTableFields(NamedTuple):

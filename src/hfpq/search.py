@@ -394,12 +394,7 @@ class ItoScanRow(NamedTuple):
     witness: TypeQCode | None
 
 
-def ito_scan(
-    n_max: int,
-    limit: int | None = None,
-    *,
-    progress: Progress | None = None,
-) -> list[ItoScanRow]:
+def ito_scan(n_max: int, limit: int | None = None) -> list[ItoScanRow]:
     """Existence of a type-Q code for each n up to n_max.
 
     The witness is the first structured hit, else the first general hit.
@@ -419,6 +414,4 @@ def ito_scan(
             exists = True
             witness = _code(n, *hit, structured_iota(hit[0], n))
         rows.append(ItoScanRow(n, exists, witness))
-        if progress is not None:
-            progress(n, sum(1 for r in rows if r.exists))
     return rows

@@ -1,11 +1,17 @@
-"""Type-Q codes as binary vectors: generators, codewords, Hadamard matrix.
+"""Type-Q codes as binary vectors: generators, codewords, verification,
+Hadamard matrix.
 
 A TypeQCode stores the generator words a and b of length 4n; the other
 8n - 2 codewords follow from the propelinear product with the canonical
-permutations.  Coordinates are indexed by the codewords with a zero in
-the first position (the set D1): position i is indexed by the unique
-x in D1 with e_1 = pi_x(e_i), which orders the first half by
+permutations (the word table, kernels_py.codeword_table).  verify_hfp
+checks a code's axioms on that table and verify_hadamard_group checks
+the Hadamard group conditions on a group table, beside the records they
+verify.  Coordinates are indexed by the codewords with a zero in the
+first position (the set D1): position i is indexed by the unique x in D1
+with e_1 = pi_x(e_i), which orders the first half by
 e, a^-1, ..., a^-(2n-1) and the second half by ab, a^2 b, ..., a^(2n) b.
+d1_in_coordinate_order lists these elements as word-table indices; they
+label the rows of the normalized Hadamard matrix and its coordinates.
 """
 
 from __future__ import annotations
@@ -14,15 +20,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import kernels
-from .core import (
-    BinaryWord,
-    GroupElement,
-    GroupTable,
-    Perm,
-    element_index,
-    group_mul,
-)
-from .gf2poly import Gf2Poly
+from .core import BinaryWord, GroupElement, GroupTable, element_index, group_mul
+from .gf2poly import Gf2Poly, reverse_bits
 
 
 class NotTypeQCandidate(ValueError):
@@ -35,6 +34,20 @@ class NotHadamardGroup(ValueError):
 
 class VerificationError(ValueError):
     """A code failed verification where a verified code was required."""
+
+
+class Verdict(NamedTuple):
+    """Outcome of an axiom check; witness points at the first violation."""
+
+    ok: bool
+    failure: str | None = None
+    witness: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+PASS = Verdict(True)
 
 
 # validated like core.BinaryWord: fields here, checks in the subclass
@@ -73,13 +86,9 @@ class TypeQCode(_TypeQCodeFields):
         return 4 * self.n
 
 
-def make_code(
-    n: int, a_vec: BinaryWord, b_vec: BinaryWord | None = None, iota: int | None = None
-) -> TypeQCode:
-    """Build a TypeQCode, deriving b from a when not supplied."""
-    if b_vec is None:
-        b_vec = derive_b(a_vec, n)
-    return TypeQCode(n, a_vec, b_vec, iota)
+def make_code(n: int, a_vec: BinaryWord, iota: int | None = None) -> TypeQCode:
+    """Build a TypeQCode with b derived from a."""
+    return TypeQCode(n, a_vec, derive_b(a_vec, n), iota)
 
 
 def derive_b(a_vec: BinaryWord, n: int) -> BinaryWord:
@@ -151,15 +160,48 @@ def gamma(code: TypeQCode, g: GroupElement) -> int:
     return codeword_ints(code)[element_index(g, code.n)] & 1
 
 
-class CoordinateIndex(NamedTuple):
-    """Row labels of the normalized Hadamard matrix.
+def verify_hfp(code: TypeQCode) -> Verdict:
+    """Propelinear + Hadamard verification of a type-Q candidate.
 
-    row_order lists the D1 representatives of e, a^-1, ..., a^-(2n-1),
-    ab, ..., a^(2n) b; these label both the rows and the coordinates.
+    Checks, in this order, the defining relations as words (a^(2n) = u,
+    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^(n-1).  Given
+    a^(2n) = u, wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the
+    half-profile lemma), so a, ..., a^(2n-1) all have weight 2n.  Given
+    the relations these imply weight 2n at every word outside {e, u} and
+    the distinctness of the 8n words, which make the code Hadamard (the
+    theorem and its proof are in the kernels_py module docstring).
+
+    The permutation axioms depend on n alone, not on (a, b), so they are
+    proved here once instead of checked per code.  Every pi_g is
+    pi_a^k pi_b^j with k = i mod 2n for g = a^i b^j, pi_a the rotation by
+    one inside each half and pi_b the full reversal.  For j = 0 and
+    k != 0, a rotation by k inside each half has no fixed point; k = 0
+    exactly for g in {e, u}, where pi_g is the identity.  For j = 1, pi_b
+    swaps the two halves and pi_a^k keeps each half, so there is no fixed
+    point.  pi_a^(2n) = pi_b^2 = id and pi_b pi_a pi_b = pi_a^-1 match the
+    defining relations a^(4n) = e, b^2 = a^(2n) and b^-1 a b = a^-1, so
+    g -> pi_g is a homomorphism.  tests/test_core.py checks all three
+    facts exhaustively for n <= 8, on the permutation objects of
+    tests/oracles.py.
     """
+    n = code.n
+    length = code.length
+    u = (1 << length) - 1
+    words = codeword_ints(code)
 
-    n: int
-    row_order: tuple[GroupElement, ...]
+    if words[2 * n] != u:
+        return Verdict(False, "RelationViolation", "a^{2n} != u")
+    b = words[4 * n]
+    if b ^ reverse_bits(b, length) != u:
+        return Verdict(False, "RelationViolation", "b^2 != u")
+    if b ^ reverse_bits(words[1], length) != words[4 * n + (4 * n - 1)]:
+        return Verdict(False, "RelationViolation", "b a != a^{-1} b")
+
+    for i in range(1, n):
+        weight = words[i].bit_count()
+        if weight != 2 * n:
+            return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))
+    return PASS
 
 
 class HadamardMatrixQ(NamedTuple):
@@ -167,7 +209,6 @@ class HadamardMatrixQ(NamedTuple):
 
     order: int
     rows: tuple[int, ...]
-    index: CoordinateIndex
 
     def row_words(self) -> tuple[BinaryWord, ...]:
         return tuple(BinaryWord(r, self.order) for r in self.rows)
@@ -197,8 +238,6 @@ def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:
 
 def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     """Rows are the words of the D1 representatives, in coordinate order."""
-    from .analysis import verify_hfp
-
     verdict = verify_hfp(code)
     if not verdict.ok:
         raise VerificationError(f"{verdict.failure}: {verdict.witness}")
@@ -207,9 +246,7 @@ def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     rows = tuple(words[i] for i in order)
     if rows[0] != 0 or any(r & 1 for r in rows):
         raise VerificationError("matrix is not normalized")
-    n4 = 4 * code.n
-    labels = tuple(GroupElement(i % n4, i >= n4) for i in order)
-    return HadamardMatrixQ(n4, rows, CoordinateIndex(code.n, labels))
+    return HadamardMatrixQ(code.length, rows)
 
 
 def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
@@ -230,6 +267,45 @@ def d1_in_coordinate_order(code: TypeQCode) -> tuple[int, ...]:
     )
 
 
+def verify_hadamard_group(table: GroupTable, D: Iterable[int], u: int) -> Verdict:
+    """Exhaustive check of the Hadamard group conditions on (G, D, u).
+
+    Condition (i): |aD n D| = |G|/4 for a outside <u>; condition (ii):
+    |aD n {b, bu}| = 1 for all a, b.  Also checks the derived facts that
+    D and uD are disjoint and cover G, and that u is a central involution.
+    """
+    order = table.order
+    if order % 8 != 0:
+        return Verdict(False, "OrderViolation", order)
+    n = order // 8
+    d_set = frozenset(D)
+    if len(d_set) != 4 * n:
+        return Verdict(False, "SubsetSizeViolation", len(d_set))
+    e = table.identity
+    if u == e or table.product(u, u) != e:
+        return Verdict(False, "InvolutionViolation", u)
+    if not table.is_central(u):
+        return Verdict(False, "CentralityViolation", u)
+    u_d = frozenset(table.product(u, d) for d in d_set)
+    if d_set & u_d:
+        return Verdict(False, "DisjointnessViolation", sorted(d_set & u_d)[0])
+    if len(d_set | u_d) != order:
+        return Verdict(False, "CoverViolation", None)
+    a_d = {a: frozenset(table.product(a, d) for d in d_set) for a in range(order)}
+    for a in range(order):
+        if a == e or a == u:
+            continue
+        inter = len(a_d[a] & d_set)
+        if inter != 2 * n:
+            return Verdict(False, "IntersectionViolation", (a, inter))
+    for a in range(order):
+        for b in range(order):
+            count = (b in a_d[a]) + (table.product(u, b) in a_d[a])
+            if count != 1:
+                return Verdict(False, "TransversalViolation", (a, b, count))
+    return PASS
+
+
 class ConstructedCode(NamedTuple):
     """Propelinear Hadamard code built from a Hadamard group table.
 
@@ -242,7 +318,7 @@ class ConstructedCode(NamedTuple):
     rows: tuple[int, ...]
     words: frozenset[int]
     sigma_words: tuple[int, ...]
-    perms: tuple[Perm, ...]
+    perms: tuple[tuple[int, ...], ...]
 
     def word(self, g: int) -> BinaryWord:
         return BinaryWord(self.sigma_words[g], self.length)
@@ -258,8 +334,6 @@ def construct_from_group(
     pi_sigma(a) moves the coordinate of b to that of the D-representative
     of b*a^-1.
     """
-    from .analysis import verify_hadamard_group
-
     verdict = verify_hadamard_group(table, D, u)
     if not verdict.ok:
         raise NotHadamardGroup(f"{verdict.failure}: {verdict.witness}")
@@ -291,7 +365,9 @@ def construct_from_group(
         images = [0] * length
         for i, b in enumerate(columns):
             images[i] = pos[rep(table.product(b, a_inv))]
-        perms.append(Perm(tuple(images)))
+        if sorted(images) != list(range(length)):
+            raise ValueError("images are not a bijection of 0..L-1")
+        perms.append(tuple(images))
     return ConstructedCode(
         length=length,
         columns=tuple(columns),

@@ -1,8 +1,10 @@
 """Oracles used only by the tests, independent of the fast paths in src/.
 
-The rank by elimination (against analysis.span_rank), the kernel by
-filtering the word table and by automorphisms (against
-analysis.structured_iota), the column relabelling of the transpose
+The coordinate permutations as objects, with the propelinear product, the
+type-Q group's inverses and powers and its canonical permutations pi_g
+(against the word table, kernels_py.codeword_table), the rank by
+elimination (against analysis.span_rank), the kernel by filtering the
+word table and by automorphisms (against analysis.structured_iota), the column relabelling of the transpose
 (against transforms.transpose_code's row order) and the right-hand side
 of the squared-factorization identity (against
 transforms.doubled_criterion_operand).
@@ -10,7 +12,7 @@ transforms.doubled_criterion_operand).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from hfpq.analysis import (
     IndexingInconsistency,
@@ -18,9 +20,168 @@ from hfpq.analysis import (
     kernel_ints,
     rank_of_ints,
 )
-from hfpq.core import BinaryWord, GroupElement, canonical_perm
+from hfpq.core import BinaryWord, GroupElement, group_mul
 from hfpq.gf2poly import poly_mul, reverse_bits, rotl
-from hfpq.typeq import TypeQCode, codeword_ints
+from hfpq.typeq import TypeQCode, codeword_ints, d1_in_coordinate_order
+
+
+# validated like hfpq.core.BinaryWord: fields here, checks in the subclass
+class _PermFields(NamedTuple):
+    images: tuple[int, ...]
+
+
+class Perm(_PermFields):
+    """Permutation of coordinate positions; images[i] = pi(i), 0-based.
+
+    len() is the number of positions, not the number of fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]) -> "Perm":
+        if sorted(images) != list(range(len(images))):
+            raise ValueError("images are not a bijection of 0..L-1")
+        return tuple.__new__(cls, (images,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Perm":
+        return cls(*iterable)
+
+    @classmethod
+    def identity(cls, length: int) -> "Perm":
+        return cls(tuple(range(length)))
+
+    @classmethod
+    def from_cycles(cls, length: int, cycles: Iterable[Iterable[int]]) -> "Perm":
+        """Build from disjoint cycles in 1-based notation."""
+        images = list(range(length))
+        for cycle in cycles:
+            cyc = [c - 1 for c in cycle]
+            for i, c in enumerate(cyc):
+                images[c] = cyc[(i + 1) % len(cyc)]
+        return cls(tuple(images))
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def inverse(self) -> "Perm":
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Perm(tuple(inv))
+
+    def is_identity(self) -> bool:
+        return all(i == j for i, j in enumerate(self.images))
+
+    def fixed_points(self) -> tuple[int, ...]:
+        """1-based positions fixed by the permutation."""
+        return tuple(i + 1 for i, j in enumerate(self.images) if i == j)
+
+    def apply_bits(self, bits: int) -> int:
+        out = 0
+        i = 0
+        while bits:
+            if bits & 1:
+                out |= 1 << self.images[i]
+            bits >>= 1
+            i += 1
+        return out
+
+    def order(self) -> int:
+        n = 1
+        p = self
+        ident = Perm.identity(len(self.images))
+        while p != ident:
+            p = compose(p, self)
+            n += 1
+        return n
+
+
+def apply_perm(p: Perm, w: BinaryWord) -> BinaryWord:
+    """Place the value of position i at position pi(i)."""
+    if len(p) != w.length:
+        raise ValueError(f"length mismatch: perm {len(p)} vs word {w.length}")
+    return BinaryWord(p.apply_bits(w.bits), w.length)
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p o q)(i) = p(q(i)); apply_perm(compose(p, q), w) applies q first."""
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} != {len(q)}")
+    return Perm(tuple(p.images[j] for j in q.images))
+
+
+def prop_mul(x: BinaryWord, pi_x: Perm, y: BinaryWord) -> BinaryWord:
+    """Propelinear product x * y = x + pi_x(y)."""
+    return x ^ apply_perm(pi_x, y)
+
+
+IDENTITY = GroupElement(0, False)
+
+
+def element(exp_a: int, has_b: bool, n: int) -> GroupElement:
+    """Normalize the exponent into [0, 4n)."""
+    return GroupElement(exp_a % (4 * n), bool(has_b))
+
+
+def u_element(n: int) -> GroupElement:
+    """The central involution a^{2n} = b^2."""
+    return GroupElement(2 * n, False)
+
+
+def group_inv(g: GroupElement, n: int) -> GroupElement:
+    order_a = 4 * n
+    if not g.has_b:
+        return GroupElement((-g.exp_a) % order_a, False)
+    return GroupElement((g.exp_a + 2 * n) % order_a, True)
+
+
+def group_pow(g: GroupElement, k: int, n: int) -> GroupElement:
+    if k < 0:
+        return group_pow(group_inv(g, n), -k, n)
+    out = IDENTITY
+    for _ in range(k):
+        out = group_mul(out, g, n)
+    return out
+
+
+def pi_a(n: int) -> Perm:
+    """Rotation by one inside each half: (1,...,2n)(2n+1,...,4n)."""
+    half = 2 * n
+    images = [(i + 1) % half for i in range(half)]
+    images += [half + ((i + 1) % half) for i in range(half)]
+    return Perm(tuple(images))
+
+
+def pi_b(n: int) -> Perm:
+    """Order-2 reflection (1,4n)(2,4n-1)...(2n,2n+1)."""
+    length = 4 * n
+    return Perm(tuple(length - 1 - i for i in range(length)))
+
+
+def canonical_perm(g: GroupElement, n: int) -> Perm:
+    """pi_g = pi_a^exp_a o pi_b^has_b; kernel of g -> pi_g is {e, a^{2n}}."""
+    half = 2 * n
+    k = g.exp_a % half
+    if g.has_b:
+        # pi_a^k o pi_b: i -> pi_a^k(4n-1-i)
+        images = []
+        for i in range(4 * n):
+            j = 4 * n - 1 - i
+            if j < half:
+                images.append((j + k) % half)
+            else:
+                images.append(half + ((j - half + k) % half))
+        return Perm(tuple(images))
+    images = [(i + k) % half for i in range(half)]
+    images += [half + ((i + k) % half) for i in range(half)]
+    return Perm(tuple(images))
+
+
+def d1_elements(code: TypeQCode) -> tuple[GroupElement, ...]:
+    """The matrix rows' group elements: d1_in_coordinate_order as a^i b^j."""
+    n4 = 4 * code.n
+    return tuple(GroupElement(i % n4, i >= n4) for i in d1_in_coordinate_order(code))
 
 
 def rot_halves(v: int, half: int, k: int = 1) -> int:

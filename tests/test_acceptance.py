@@ -11,14 +11,8 @@ import time
 
 import pytest
 
-from hfpq.analysis import (
-    analyze,
-    compute_kernel,
-    project_onto_support,
-    verify_hadamard_group,
-    verify_hfp,
-)
-from hfpq.core import BinaryWord, canonical_perm, compose, group_mul, type_q_table
+from hfpq.analysis import analyze, compute_kernel, project_onto_support
+from hfpq.core import BinaryWord, group_mul, type_q_table
 from hfpq.search import ito_scan
 from hfpq.transforms import (
     double_code,
@@ -33,10 +27,18 @@ from hfpq.typeq import (
     codeword_set,
     d1_in_coordinate_order,
     kappa_vector,
+    verify_hadamard_group,
+    verify_hfp,
 )
 
 from .conftest import GOLDEN_KAPPA
-from .oracles import kernel_by_automorphism, rank_via_generators, squared_factorization
+from .oracles import (
+    canonical_perm,
+    compose,
+    kernel_by_automorphism,
+    rank_via_generators,
+    squared_factorization,
+)
 
 
 def _report(criterion: int, label: str, started: float) -> None:

@@ -14,8 +14,6 @@ from hfpq.analysis import (
     project_onto_support,
     rank_of_ints,
     span_rank,
-    verify_hadamard_group,
-    verify_hfp,
 )
 from hfpq.core import BinaryWord, GroupTable, type_q_table
 from hfpq.typeq import (
@@ -25,10 +23,13 @@ from hfpq.typeq import (
     codeword_set,
     d1_in_coordinate_order,
     kappa_vector,
+    verify_hadamard_group,
+    verify_hfp,
 )
 
 from .conftest import GOLDEN_KAPPA
 from .oracles import (
+    canonical_perm,
     compute_rank,
     kernel_by_automorphism,
     rank_via_generators,
@@ -100,7 +101,7 @@ def test_kernel_oracle_equivalence(golden):
 def test_kernel_coset_property(golden):
     # c * K(C) = c + K(C) for every codeword c
     from hfpq.analysis import kernel_ints
-    from hfpq.core import GroupElement, canonical_perm
+    from hfpq.core import GroupElement
     from hfpq.typeq import codeword_ints
 
     n = golden.n

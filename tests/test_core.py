@@ -4,21 +4,18 @@ import random
 
 import pytest
 
-from hfpq.core import (
-    BinaryWord,
-    GroupElement,
+from hfpq.core import BinaryWord, GroupElement, all_elements, group_mul, type_q_table
+
+from .oracles import (
     Perm,
-    all_elements,
     apply_perm,
     canonical_perm,
     compose,
     group_inv,
-    group_mul,
     group_pow,
     pi_a,
     pi_b,
     prop_mul,
-    type_q_table,
     u_element,
 )
 

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from hfpq import kernels, kernels_py
-from hfpq.analysis import verify_hfp
-from hfpq.core import BinaryWord, GroupElement, canonical_perm, prop_mul
+from hfpq.core import BinaryWord, GroupElement
 from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul, reverse_bits, rotl
-from hfpq.typeq import TypeQCode
+from hfpq.typeq import TypeQCode, verify_hfp
 
-from .oracles import rot_halves
+from .oracles import canonical_perm, prop_mul, rot_halves
 
 
 def test_codeword_table_matches_perm_objects(golden):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from hfpq.core import BinaryWord, GroupTable, Perm
+from hfpq.core import BinaryWord, GroupTable
 from hfpq.gf2poly import Gf2Poly
 from hfpq.typeq import TypeQCode
+
+from .oracles import Perm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -11,17 +11,8 @@ from hfpq.analysis import (
     kernel_from_iota,
     kernel_ints,
     structured_iota,
-    verify_hfp,
 )
-from hfpq.core import (
-    BinaryWord,
-    GroupElement,
-    all_elements,
-    canonical_perm,
-    element_index,
-    group_mul,
-    prop_mul,
-)
+from hfpq.core import BinaryWord, GroupElement, all_elements, element_index, group_mul
 from hfpq.gf2poly import reverse_bits, rotl
 from hfpq.search import (
     ItoScanRow,
@@ -38,9 +29,9 @@ from hfpq.search import (
     search_k2,
 )
 from hfpq.transforms import transpose_code
-from hfpq.typeq import TypeQCode, codeword_set
+from hfpq.typeq import TypeQCode, codeword_set, verify_hfp
 
-from .oracles import kernel_iota
+from .oracles import canonical_perm, kernel_iota, prop_mul
 from .test_kernels import _brute_scan, _powers_4n
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}

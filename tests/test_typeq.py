@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from hfpq.core import (
-    BinaryWord,
-    GroupElement,
-    apply_perm,
-    canonical_perm,
-    prop_mul,
-    type_q_table,
-)
+from hfpq.core import BinaryWord, GroupElement, type_q_table
 from hfpq.gf2poly import Gf2Poly, reverse_bits, rotl
 from hfpq.typeq import (
     HadamardMatrixQ,
@@ -34,6 +27,7 @@ from hfpq.typeq import (
 )
 
 from .conftest import GOLDEN_A, GOLDEN_B, GOLDEN_KAPPA
+from .oracles import Perm, apply_perm, canonical_perm, d1_elements, prop_mul
 
 
 def test_derive_b_reference(golden):
@@ -141,12 +135,18 @@ def test_rotated_diagonal_never_fixes_a_power_n(golden):
         assert img != vec_an
 
 
-def test_coordinate_indexing_equation(golden):
+def _matrix_codes(golden, golden_chain, general_hits, k2_hits):
+    """The golden code, its chain to length 192, search_general(4), search_k2(6)."""
+    chain = [code for step in golden_chain[:3] for code in step]
+    return [golden] + chain + general_hits[4] + k2_hits[6]
+
+
+def test_coordinate_indexing_equation(golden, golden_chain, general_hits, k2_hits):
     # position i is indexed by the unique x in D1 with e_1 = pi_x(e_i)
-    idx = build_matrix(golden).index
-    for i, x in enumerate(idx.row_order):
-        assert canonical_perm(x, golden.n).images[i] == 0
-        assert element_vector(x, golden).bit(1) == 0
+    for code in _matrix_codes(golden, golden_chain, general_hits, k2_hits):
+        for i, x in enumerate(d1_elements(code)):
+            assert canonical_perm(x, code.n).images[i] == 0
+            assert element_vector(x, code).bit(1) == 0
 
 
 def test_build_matrix_normalized_and_equidistant(golden):
@@ -176,10 +176,9 @@ def test_matrix_entry_matches_matrix(golden, golden_chain, general_hits, k2_hits
     # rows read off the word table against the gamma oracle entry by entry:
     # every code of search_general(4) and search_k2(6), and the golden
     # chain to length 192
-    chain = [code for step in golden_chain[:3] for code in step]
-    for code in [golden] + chain + general_hits[4] + k2_hits[6]:
+    for code in _matrix_codes(golden, golden_chain, general_hits, k2_hits):
         H = build_matrix(code)
-        labels = H.index.row_order
+        labels = d1_elements(code)
         for row, x in zip(H.rows, labels):
             assert [(row >> j) & 1 for j in range(H.order)] == [
                 matrix_entry(x, y, code) for y in labels
@@ -215,7 +214,7 @@ def test_transposed_rows_matches_bitwise_reference(golden, golden_chain):
     rng = random.Random(3)
     for order in range(1, 71):
         rows = tuple(rng.getrandbits(order) for _ in range(order))
-        H = HadamardMatrixQ(order, rows, build_matrix(golden).index)
+        H = HadamardMatrixQ(order, rows)
         assert H.transposed_rows() == _columns_by_bit(rows)
     for code in [golden] + [doubled for doubled, _ in golden_chain]:
         H = build_matrix(code)
@@ -236,7 +235,7 @@ def test_construct_from_group_propelinear(golden):
     built = construct_from_group(table, d1_in_coordinate_order(golden), 12)
     order = table.order
     for g in range(order):
-        pg = built.perms[g]
+        pg = Perm(built.perms[g])
         for h in range(order):
             prod = built.sigma_words[g] ^ pg.apply_bits(built.sigma_words[h])
             assert prod == built.sigma_words[table.product(g, h)]
