@@ -27,10 +27,8 @@ from .typeq import (
     construct_from_group,
     derive_a2,
     derive_b,
-    element_vector,
     kappa_vector,
     make_code,
-    matrix_entry,
     verify_hadamard_group,
     verify_hfp,
 )
@@ -59,12 +57,10 @@ __all__ = [
     "derive_b",
     "double_code",
     "double_gcd_check",
-    "element_vector",
     "group_mul",
     "ito_scan",
     "kappa_vector",
     "make_code",
-    "matrix_entry",
     "project_onto_support",
     "rank_gcd_criterion",
     "search_general",

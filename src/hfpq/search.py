@@ -4,8 +4,8 @@ Each candidate family is enumerated by one generator:
 
 - _structured(n): iota in [0, 2n), a1 of odd weight, a2 derived from a1
   and iota; yields the verified candidates in (iota, a1) order.
-- _general(n, stop): the generator words a in the rows a2 below stop, one
-  row per step; yields the hits of each row.
+- _general(n, stop): the generator words a in the quotient rows a2 below
+  stop, one row per step; yields the hits of each row, then stop.
 
 Candidates are decided on a alone (the theorem of kernels_py), through the
 half profiles P(h) = (wt(S_k h))_{k=1..n} of that module's lemma: a is a
@@ -13,9 +13,10 @@ hit iff both halves of a are odd and P(a2) = 2n - P(a1) componentwise.
 
 - The general search over the whole space is a join (_row_hits): the
   hits of a row a2 are the odd a1 whose profile is 2n - P(a2), looked up
-  in a table of a1 profiles built one weight class at a time.  A search
-  with a limit scans the words of each row instead
-  (kernels_py.scan_general: the parity lemma, then powers_ok per word).
+  in a table that profiles one a1 per rotation class (P is invariant
+  under rotation, proof in _profile_table).  A search with a limit scans
+  the words of each row instead (kernels_py.scan_general: the parity
+  lemma, then powers_ok per word).
 - In the structured family the profile of a2 follows from that of a1, so
   whether a candidate verifies does not depend on iota (_settled), and
   the family is empty for every odd n >= 3.
@@ -27,19 +28,22 @@ Both generators scan a quotient.  The raw hits are closed under sigma_s
 these maps keep every structured iota family and every kernel iota (proof
 in _orbit).  So _general scans only the rows a2 that are least in their
 class under rotation and complement, and _structured only the a1 that
-are; each row or a1 outside this set is an image of one inside.  The
-searches expand each hit of the quotient into its orbit (_expand): every
-image takes its b and its dedup key from the hit's b and kernel by
-sigma_s, without derive_b_bits, codeword_table or kernel_ints, and an
-image and its complement share both.  So dedup still sees every raw hit
-exactly once.  search_general expands each orbit from its first hit
-only.  No search builds a kernel from codewords: from n = 3 on it is read
-off a by analysis.structured_iota (F5) once per expanded hit, and its
-iota is attached to every image; at n <= 2 the code is linear and its
-kernel is its word table.  search_k2 and search_general consume their
-generator completely; ito_scan takes the first hit of each, which is the
-smallest hit overall because the least word of an orbit lies in a
-quotient row (or has a quotient a1).
+are; each row or a1 outside this set is an image of one inside.  These
+representatives are generated, not filtered from every half-word:
+_quotient keeps the odd necklaces of the FKM generator (_necklaces) that
+no rotation of their complement undercuts, lazily and in increasing
+order.  The searches expand each hit of the quotient into its orbit
+(_expand): every image takes its b and its dedup key from the hit's b
+and kernel by sigma_s, without derive_b_bits, codeword_table or
+kernel_ints, and an image and its complement share both.  So dedup still
+sees every raw hit exactly once.  search_general expands each orbit from
+its first hit only.  No search builds a kernel from codewords: from n = 3
+on it is read off a by analysis.structured_iota (F5) once per expanded
+hit, and its iota is attached to every image; at n <= 2 the code is
+linear and its kernel is its word table.  search_k2 and search_general
+consume their generator completely; ito_scan takes the first hit of
+each, which is the smallest hit overall because the least word of an
+orbit lies in a quotient row (or has a quotient a1).
 
 The key of a raw hit a is its kernel coset a + K(C), 2 or 4 words for a
 nonlinear code and C itself for the linear codes at n <= 2: the hits
@@ -52,7 +56,6 @@ are visited.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import kernels
@@ -95,14 +98,58 @@ def _stop(n: int, limit: int | None) -> int:
     return min(limit, space)
 
 
-def _least_in_class(x: int, half: int) -> bool:
-    """Whether x is the least of its rotations and of its complement's rotations."""
+def _necklaces(width: int) -> Iterator[int]:
+    """The width-bit ints least among their rotations, in increasing order.
+
+    Read an int as the string of its width bits, most significant first.
+    Then numeric order is lexicographic order and rotl rotates the string,
+    so these are the binary necklaces of length width, in lexicographic
+    order.  This is the FKM algorithm (Fredricksen, Kessler, Maiorana; the
+    proof is Ruskey, Savage and Wang, "Generating necklaces", J.
+    Algorithms 13, 1992): the successor of a prenecklace s, not all ones,
+    is found by setting its last 0 (position i) to 1 and repeating s_1 ...
+    s_i up to length width.  This lists every prenecklace (prefix of a
+    necklace) in increasing order, and the new one is a necklace iff i
+    divides width.  Here the last 0 is the lowest zero bit, at t = width - i
+    trailing ones, and the repetition is one multiplication by a repunit
+    of i-bit blocks.  Each step is a few int operations, and there are
+    about twice as many prenecklaces as necklaces (2,538 for 1,182 at
+    width 14).
+    """
+    top = (1 << width) - 1
+    # an i-bit string s repeated to width bits is (s * unit) >> shift
+    repeat = {}
+    for i in range(1, width + 1):
+        blocks = -(-width // i)
+        repeat[i] = (((1 << i * blocks) - 1) // ((1 << i) - 1), i * blocks - width)
+    x = 0
+    yield x
+    while x != top:
+        t = (x ^ (x + 1)).bit_length() - 1
+        i = width - t
+        unit, shift = repeat[i]
+        x = ((x >> t | 1) * unit) >> shift
+        if not width % i:
+            yield x
+
+
+def _quotient(half: int) -> Iterator[int]:
+    """The odd half-words least in their class, in increasing order.
+
+    The class of x is its rotations and the rotations of its complement.
+    These are the odd necklaces (_necklaces) that no rotation of their
+    complement undercuts.  Generating them costs one pass over the
+    necklaces, about 2^half / half of them, in place of a class test on
+    every half-word.  The generator is lazy, so a caller that stops at the
+    first hit pays only for the necklaces below it.
+    """
     mask = (1 << half) - 1
-    for y in (x ^ mask, x):
-        for k in range(half):
-            if rotl(y, k, half) < x:
-                return False
-    return True
+    for x in _necklaces(half):
+        if x.bit_count() & 1:
+            c = x ^ mask
+            cc = c << half | c
+            if all((cc >> k) & mask >= x for k in range(half)):
+                yield x
 
 
 def _sigma(words: Iterable[int], s: int, half: int) -> list[int]:
@@ -246,86 +293,97 @@ def _structured(n: int) -> Iterator[tuple[int, int, int]]:
     a2 = x^(iota+1) phi1(a1) + u has weight 2n - wt(a1), so every
     candidate has weight 2n and derive_b_bits always finds b.  Whether a
     candidate verifies depends on a1 alone (_settled), so the a1 are
-    settled once, while iota 0 is walked, and each later iota reuses them:
-    it only builds a2 and b = derive_b_bits(a), and a caller that stops at
-    the first hit settles only the a1 before it.  Every other verified
-    candidate of an iota family is an image of one yielded here under
-    _orbit.  For odd n >= 3 the family is empty (_settled), and nothing is
-    walked.
+    settled once, while iota 0 walks _quotient, and each later iota reuses
+    them: it only builds a2 and b = derive_b_bits(a), and a caller that
+    stops at the first hit settles only the a1 before it.  Every other
+    verified candidate of an iota family is an image of one yielded here
+    under _orbit.  For odd n >= 3 the family is empty (_settled), and
+    nothing is walked.
     """
     half = 2 * n
     if n > 1 and n & 1:
         return
     verified: list[int] = []
     for iota in range(half):
-        for a1 in verified if iota else range(1 << half):
+        for a1 in verified if iota else _quotient(half):
             if not iota:
-                if not (_settled(a1, n) and _least_in_class(a1, half)):
+                if not _settled(a1, n):
                     continue
                 verified.append(a1)
             a_bits = a1 | (kernels.derive_a2_bits(a1, iota, n) << half)
             yield iota, a_bits, kernels.derive_b_bits(a_bits, n)
 
 
-def _profile_class(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
-    """The half-words of weight w, in increasing order, keyed by profile."""
+def _profile_table(n: int) -> dict[tuple[int, ...], list[int]]:
+    """One odd half-word per rotation class, keyed by profile, increasing.
+
+    The representatives are the odd necklaces (_necklaces), one pass over
+    them for every weight: the first column of P is the weight, so the
+    key also names the weight class.  P is invariant under rotation: in
+    GF(2)[x]/(x^(2n) + 1), S_k x^s h = x^s S_k h, and multiplying by x^s
+    rotates a half-word, which keeps its weight.  So wt(S_k x^s h) =
+    wt(S_k h) for every k, and one profile per rotation class stands for
+    all of its rotations (_row_hits expands them).  That is about 2n times
+    fewer half_profile calls than one per half-word.
+    """
     table: dict[tuple[int, ...], list[int]] = {}
-    for a1 in sorted(sum(1 << i for i in c) for c in combinations(range(2 * n), w)):
-        table.setdefault(kernels.half_profile(a1, n), []).append(a1)
+    for h in _necklaces(2 * n):
+        if h.bit_count() & 1:
+            table.setdefault(kernels.half_profile(h, n), []).append(h)
     return table
 
 
 def _row_hits(
-    a2: int, n: int, classes: dict[int, dict[tuple[int, ...], list[int]]]
+    a2: int, n: int, table: dict[tuple[int, ...], list[int]]
 ) -> list[tuple[int, int]]:
     """The (a, b) hits of the odd row a2, a increasing, by the profile join.
 
     a = a1 + x^(2n) a2 is a hit iff a1 is odd and P(a1) = 2n - P(a2) (the
-    half-profile lemma of kernels_py); the first column says wt(a1) = 2n -
-    wt(a2), so only that weight class of classes is looked up, and it is
-    built on first use.
+    half-profile lemma of kernels_py).  table is _profile_table(n), filled
+    on first use; the hits are the distinct rotations of the matching
+    representatives, each of which matches too.
     """
     half = 2 * n
-    w1 = half - a2.bit_count()
-    if w1 not in classes:
-        classes[w1] = _profile_class(w1, n)
+    if not table:
+        table.update(_profile_table(n))
     key = tuple(half - w for w in kernels.half_profile(a2, n))
+    a1s = {rotl(h, s, half) for h in table.get(key, ()) for s in range(half)}
     base = a2 << half
-    return [
-        (base | a1, kernels.derive_b_bits(base | a1, n))
-        for a1 in classes[w1].get(key, ())
-    ]
+    return [(base | a1, kernels.derive_b_bits(base | a1, n)) for a1 in sorted(a1s)]
 
 
 def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(words covered so far, (a, b) hits below stop) per row a2, a2 increasing.
+    """(words covered so far, (a, b) hits below stop) per quotient row a2.
 
-    Only the rows a2 of odd weight that are least in their class hold
-    hits.  Every hit below the covered bound is found here or is an image
-    of a hit found in an earlier row: a row's class representative is at
-    most the row.  Only the row holding stop is cut short; its words below
-    stop are all scanned, and the other rows of its class lie above it.
+    The rows come from _quotient, a2 increasing: the rows of odd weight
+    that are least in their class, the only rows that hold hits.  Every
+    hit below the covered bound is found here or is an image of a hit
+    found in an earlier row: a row's class representative is at most the
+    row.  Only the row holding stop is cut short; its words below stop
+    are all scanned, and the other rows of its class lie above it.  The
+    last step is (stop, []), so the covered bound always reaches stop.
 
     Over the whole space the rows are joined by profile (_row_hits); the
-    profile tables live as long as this generator.  Below a limit the
+    profile table lives as long as this generator.  Below a limit the
     words of each row are scanned (kernels_py.scan_general), which is also
-    the oracle of the join.  A limit covers few rows, but the join profiles
-    the whole weight class of each row it meets, whatever the limit:
-    search_general(16, 2**40) covers only the rows a2 < 256, yet row 127
-    (weight 7) alone needs the C(32, 25) = 3.4M half-words of weight 25.
+    the oracle of the join.  A limit covers few rows, but the join
+    profiles every odd rotation class, whatever the limit:
+    search_general(16, 2**40) covers only the rows a2 < 256, yet its
+    table would profile about 2^31 / 32 = 67M odd necklaces.
     """
     half = 2 * n
     space = 1 << (2 * half)
-    classes: dict[int, dict[tuple[int, ...], list[int]]] = {}
-    for a2 in range(((stop - 1) >> half) + 1):
+    last = (stop - 1) >> half
+    table: dict[tuple[int, ...], list[int]] = {}
+    for a2 in _quotient(half):
+        if a2 > last:
+            break
         end = min((a2 + 1) << half, stop)
-        found: list[tuple[int, int]] = []
-        if a2.bit_count() & 1 and _least_in_class(a2, half):
-            if stop == space:
-                found = _row_hits(a2, n, classes)
-            else:
-                found = kernels.scan_general(n, a2 << half, end)
-        yield end, found
+        if stop == space:
+            yield end, _row_hits(a2, n, table)
+        else:
+            yield end, kernels.scan_general(n, a2 << half, end)
+    yield stop, []
 
 
 def search_k2(n: int, *, progress: Progress | None = None) -> list[TypeQCode]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import kernels
-from .core import BinaryWord, GroupElement, GroupTable, element_index, group_mul
+from .core import BinaryWord, GroupElement, GroupTable
 from .gf2poly import Gf2Poly, reverse_bits
 
 
@@ -149,17 +149,6 @@ def all_codewords(code: TypeQCode) -> tuple[BinaryWord, ...]:
     return tuple(BinaryWord(w, length) for w in codeword_ints(code))
 
 
-def element_vector(g: GroupElement, code: TypeQCode) -> BinaryWord:
-    """Word of the element a^i b^j under the iterated propelinear product."""
-    words = codeword_ints(code)
-    return BinaryWord(words[element_index(g, code.n)], code.length)
-
-
-def gamma(code: TypeQCode, g: GroupElement) -> int:
-    """First coordinate of the word of g (0 iff g lies in D1)."""
-    return codeword_ints(code)[element_index(g, code.n)] & 1
-
-
 def verify_hfp(code: TypeQCode) -> Verdict:
     """Propelinear + Hadamard verification of a type-Q candidate.
 
@@ -223,17 +212,6 @@ class HadamardMatrixQ(NamedTuple):
         top = 1 << order
         s = "".join(bin(row | top)[:2:-1] for row in reversed(self.rows))
         return tuple(int(s[j::order], 2) for j in range(order))
-
-
-def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:
-    """Entry at (row x, column indexed by y): gamma_x + gamma_y + gamma_(yx).
-
-    The coordinate indexed by y in the word of x is the first bit of
-    pi_y(word of x), i.e. gamma of the product y*x, corrected by the
-    gammas of the chosen representatives.
-    """
-    yx = group_mul(y, x, code.n)
-    return gamma(code, x) ^ gamma(code, y) ^ gamma(code, yx)
 
 
 def build_matrix(code: TypeQCode) -> HadamardMatrixQ:

@@ -2,25 +2,30 @@
 
 The coordinate permutations as objects, with the propelinear product, the
 type-Q group's inverses and powers and its canonical permutations pi_g
-(against the word table, kernels_py.codeword_table), the rank by
+(against the word table, kernels_py.codeword_table), the word and the
+matrix entry of a group element (against typeq.build_matrix), the rank by
 elimination (against analysis.span_rank), the kernel by filtering the
-word table and by automorphisms (against analysis.structured_iota), the column relabelling of the transpose
-(against transforms.transpose_code's row order) and the right-hand side
-of the squared-factorization identity (against
-transforms.doubled_criterion_operand).
+word table and by automorphisms (against analysis.structured_iota), the
+column relabelling of the transpose (against transforms.transpose_code's
+row order), the right-hand side of the squared-factorization identity
+(against transforms.doubled_criterion_operand), and the class test and
+the profile table over every half-word (against search._quotient and
+search._profile_table).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from hfpq import kernels
 from hfpq.analysis import (
     IndexingInconsistency,
     _kernel_basis,
     kernel_ints,
     rank_of_ints,
 )
-from hfpq.core import BinaryWord, GroupElement, group_mul
+from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
 from hfpq.gf2poly import poly_mul, reverse_bits, rotl
 from hfpq.typeq import TypeQCode, codeword_ints, d1_in_coordinate_order
 
@@ -184,6 +189,28 @@ def d1_elements(code: TypeQCode) -> tuple[GroupElement, ...]:
     return tuple(GroupElement(i % n4, i >= n4) for i in d1_in_coordinate_order(code))
 
 
+def element_vector(g: GroupElement, code: TypeQCode) -> BinaryWord:
+    """Word of the element a^i b^j under the iterated propelinear product."""
+    words = codeword_ints(code)
+    return BinaryWord(words[element_index(g, code.n)], code.length)
+
+
+def gamma(code: TypeQCode, g: GroupElement) -> int:
+    """First coordinate of the word of g (0 iff g lies in D1)."""
+    return codeword_ints(code)[element_index(g, code.n)] & 1
+
+
+def matrix_entry(x: GroupElement, y: GroupElement, code: TypeQCode) -> int:
+    """Entry at (row x, column indexed by y): gamma_x + gamma_y + gamma_(yx).
+
+    The coordinate indexed by y in the word of x is the first bit of
+    pi_y(word of x), i.e. gamma of the product y*x, corrected by the
+    gammas of the chosen representatives.
+    """
+    yx = group_mul(y, x, code.n)
+    return gamma(code, x) ^ gamma(code, y) ^ gamma(code, yx)
+
+
 def rot_halves(v: int, half: int, k: int = 1) -> int:
     """Rotate both halves of a 2*half-bit word by k (coordinate action of x^k)."""
     mask = (1 << half) - 1
@@ -279,3 +306,21 @@ def transpose_relabel(word: int, n: int) -> int:
     half = 2 * n
     mask = (1 << half) - 1
     return rotl(reverse_bits(word, half), 1, half) | (word & (mask << half))
+
+
+def least_in_class(x: int, half: int) -> bool:
+    """Whether x is the least of its rotations and of its complement's rotations."""
+    mask = (1 << half) - 1
+    for y in (x ^ mask, x):
+        for k in range(half):
+            if rotl(y, k, half) < x:
+                return False
+    return True
+
+
+def profile_class_by_words(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
+    """Every half-word of weight w, in increasing order, keyed by profile."""
+    table: dict[tuple[int, ...], list[int]] = {}
+    for a1 in sorted(sum(1 << i for i in c) for c in combinations(range(2 * n), w)):
+        table.setdefault(kernels.half_profile(a1, n), []).append(a1)
+    return table

@@ -35,6 +35,7 @@ from .conftest import GOLDEN_KAPPA
 from .oracles import (
     canonical_perm,
     compose,
+    element_vector,
     kernel_by_automorphism,
     rank_via_generators,
     squared_factorization,
@@ -67,7 +68,6 @@ def test_criterion_1_golden_example(golden):
     assert dim == 2
     # kernel generator is the first-bit-zero representative of a^11 b
     from hfpq.core import GroupElement
-    from hfpq.typeq import element_vector
 
     kv = element_vector(GroupElement(11, True), golden)
     rep_word = kv if kv.bit(1) == 0 else kv.complement()

@@ -126,15 +126,16 @@ def _fake_clock(monkeypatch, step):
 
 
 def test_search_progress_throttled_by_time(monkeypatch, capsys):
-    # 256 rows of 256 words at n=4, 0.4 s apart: a line every third row,
-    # then the last
+    # n=4 reports after each of its 8 quotient rows of 256 words (rows 1, 7,
+    # 11, 13, 19, 21, 25 and 37), then the whole space, 0.4 s apart: a line
+    # every third report, and the ninth is the last
     _fake_clock(monkeypatch, 0.4)
     assert main(["search", "--n", "4"]) == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert [int(line.split("scanned=")[1].split()[0]) for line in lines] == [
-        3 * 256 * k for k in range(1, 86)
-    ] + [256 * 256]
+        12 * 256, 22 * 256, 256 * 256
+    ]
     assert lines[-1] == "search n=4: scanned=65536 raw_hits=1024"
     assert captured.out.splitlines()[-1] == "n=4 family=general hits=384"
 

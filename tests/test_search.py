@@ -18,8 +18,10 @@ from hfpq.search import (
     ItoScanRow,
     _expand,
     _general,
-    _least_in_class,
+    _necklaces,
     _orbit,
+    _profile_table,
+    _quotient,
     _row_hits,
     _settled,
     _stop,
@@ -31,7 +33,13 @@ from hfpq.search import (
 from hfpq.transforms import transpose_code
 from hfpq.typeq import TypeQCode, codeword_set, verify_hfp
 
-from .oracles import canonical_perm, kernel_iota, prop_mul
+from .oracles import (
+    canonical_perm,
+    kernel_iota,
+    least_in_class,
+    profile_class_by_words,
+    prop_mul,
+)
 from .test_kernels import _brute_scan, _powers_4n
 
 EXPECTED_GENERAL = {1: 1, 2: 4, 3: 72, 4: 384}
@@ -373,13 +381,19 @@ def test_structured_odd_n_is_empty_at_once(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_join_equals_word_scan(n):
-    # every quotient row of the join holds the word scan's hits of that
-    # row; up to n = 5 every odd row does, quotient or not
+    # the join yields exactly the odd rows least in their class, each with
+    # the word scan's hits of that row, and last the whole space; up to
+    # n = 5 every odd row's join equals its word scan, quotient or not
     half = 2 * n
-    for a2, (end, found) in enumerate(_general(n, 1 << (4 * n))):
-        assert end == (a2 + 1) << half
-        quotient = a2.bit_count() & 1 and _least_in_class(a2, half)
-        assert found == (kernels.scan_general(n, a2 << half, end) if quotient else [])
+    space = 1 << (4 * n)
+    *rows, last = _general(n, space)
+    assert last == (space, [])
+    quotient = [
+        a2 for a2 in range(1 << half) if a2.bit_count() & 1 and least_in_class(a2, half)
+    ]
+    assert [end for end, _ in rows] == [(a2 + 1) << half for a2 in quotient]
+    for a2, (end, found) in zip(quotient, rows):
+        assert found == kernels.scan_general(n, a2 << half, end)
     if n <= 5:
         classes = {}
         for a2 in range(1, 1 << half):
@@ -581,10 +595,56 @@ def test_structured_images_carry_kernel_iota(monkeypatch, k2_hits, n):
 def test_quotient_sizes():
     # odd-weight rows (or a1) least in their class, of the 2^(2n-1) odd ones
     counts = [
-        sum(1 for x in range(1 << h) if x.bit_count() & 1 and _least_in_class(x, h))
+        sum(1 for x in range(1 << h) if x.bit_count() & 1 and least_in_class(x, h))
         for h in range(2, 13, 2)
     ]
     assert counts == [1, 1, 4, 8, 28, 86]
+
+
+@pytest.mark.parametrize("width", range(1, 15))
+def test_necklaces_are_the_least_rotations(width):
+    rotations = range(width)
+    assert list(_necklaces(width)) == [
+        x for x in range(1 << width) if all(rotl(x, k, width) >= x for k in rotations)
+    ]
+
+
+@pytest.mark.parametrize("half", range(2, 15))
+def test_quotient_is_the_class_filter(half):
+    assert list(_quotient(half)) == [
+        x for x in range(1 << half) if x.bit_count() & 1 and least_in_class(x, half)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_profile_table_expands_to_the_word_tables(n):
+    # one necklace per odd rotation class, expanded into its distinct
+    # rotations, gives the profile tables of every odd half-word
+    half = 2 * n
+    expanded = {
+        key: sorted({rotl(h, s, half) for h in reps for s in range(half)})
+        for key, reps in _profile_table(n).items()
+    }
+    words: dict[tuple[int, ...], list[int]] = {}
+    for w in range(1, half, 2):
+        words.update(profile_class_by_words(w, n))
+    assert expanded == words
+
+
+# sha256 of the ito_scan(10) witnesses, recorded before the quotient was
+# generated: "n a-string b-string iota" per line
+ITO_SCAN_10_DIGEST = "5a713d63ee7ac3249355bd7bac4ba790b28b4baba9e5378d13e987b2b62a4b59"
+
+
+def test_ito_scan_10_witnesses():
+    rows = ito_scan(10)
+    assert all(row.exists for row in rows)
+    lines = "\n".join(
+        f"{r.n} {r.witness.a_vec.to_string()} {r.witness.b_vec.to_string()} "
+        f"{r.witness.iota}"
+        for r in rows
+    )
+    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == ITO_SCAN_10_DIGEST
 
 
 @pytest.mark.parametrize("limit", [0, -5])

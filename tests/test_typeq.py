@@ -20,14 +20,20 @@ from hfpq.typeq import (
     d1_in_coordinate_order,
     derive_a2,
     derive_b,
-    element_vector,
     kappa_vector,
     make_code,
-    matrix_entry,
 )
 
 from .conftest import GOLDEN_A, GOLDEN_B, GOLDEN_KAPPA
-from .oracles import Perm, apply_perm, canonical_perm, d1_elements, prop_mul
+from .oracles import (
+    Perm,
+    apply_perm,
+    canonical_perm,
+    d1_elements,
+    element_vector,
+    matrix_entry,
+    prop_mul,
+)
 
 
 def test_derive_b_reference(golden):
