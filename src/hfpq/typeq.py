@@ -202,17 +202,6 @@ class HadamardMatrixQ(NamedTuple):
     def row_words(self) -> tuple[BinaryWord, ...]:
         return tuple(BinaryWord(r, self.order) for r in self.rows)
 
-    def transposed_rows(self) -> tuple[int, ...]:
-        """Columns as ints (bit i of column j is bit j of row i).
-
-        The rows' bit strings, read from bit 0, are joined last row first;
-        column j is every order-th character from position j.
-        """
-        order = self.order
-        top = 1 << order
-        s = "".join(bin(row | top)[:2:-1] for row in reversed(self.rows))
-        return tuple(int(s[j::order], 2) for j in range(order))
-
 
 def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     """Rows are the words of the D1 representatives, in coordinate order."""

@@ -37,10 +37,24 @@ def general_hits_5():
 
 
 @pytest.fixture(scope="session")
+def general_hits_6():
+    from hfpq.search import search_general
+
+    return search_general(6)
+
+
+@pytest.fixture(scope="session")
 def k2_hits():
     from hfpq.search import search_k2
 
     return {n: search_k2(n) for n in (1, 2, 3, 4, 5, 6)}
+
+
+@pytest.fixture(scope="session")
+def k2_hits_8():
+    from hfpq.search import search_k2
+
+    return search_k2(8)
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ type-Q group's inverses and powers and its canonical permutations pi_g
 (against the word table, kernels_py.codeword_table), the word and the
 matrix entry of a group element (against typeq.build_matrix), the rank by
 elimination (against analysis.span_rank), the kernel by filtering the
-word table and by automorphisms (against analysis.structured_iota), the
-column relabelling of the transpose (against transforms.transpose_code's
-row order), the right-hand side of the squared-factorization identity
+word table and by automorphisms (against analysis.structured_iota), all
+columns of the matrix and the column relabelling of the transpose
+(against transforms.transpose_code, which reads two columns), the
+right-hand side of the squared-factorization identity
 (against transforms.doubled_criterion_operand), and the class test and
 the profile table over every half-word (against search._quotient and
 search._profile_table).
@@ -27,7 +28,13 @@ from hfpq.analysis import (
 )
 from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
 from hfpq.gf2poly import poly_mul, reverse_bits, rotl
-from hfpq.typeq import TypeQCode, codeword_ints, d1_in_coordinate_order
+from hfpq.typeq import (
+    HadamardMatrixQ,
+    TypeQCode,
+    build_matrix,
+    codeword_ints,
+    d1_in_coordinate_order,
+)
 
 
 # validated like hfpq.core.BinaryWord: fields here, checks in the subclass
@@ -293,6 +300,37 @@ def kernel_by_automorphism(code: TypeQCode) -> tuple[int, list[BinaryWord]]:
     kernel.sort()
     dim, basis = _kernel_basis(kernel, code.length)
     return dim, [BinaryWord(b, code.length) for b in basis]
+
+
+def transposed_rows(matrix: HadamardMatrixQ) -> tuple[int, ...]:
+    """Columns as ints (bit i of column j is bit j of row i).
+
+    The rows' bit strings, read from bit 0, are joined last row first;
+    column j is every order-th character from position j.
+    """
+    order = matrix.order
+    top = 1 << order
+    s = "".join(bin(row | top)[:2:-1] for row in reversed(matrix.rows))
+    return tuple(int(s[j::order], 2) for j in range(order))
+
+
+def flipped_columns(code: TypeQCode) -> tuple[int, ...]:
+    """All 4n columns of H with the rows in transpose_code's order.
+
+    The rows are taken as e, a, ..., a^(2n-1), ab, ..., a^(2n) b, which
+    puts the columns in canonical coordinate order.
+    """
+    half = 2 * code.n
+    rows = build_matrix(code).rows
+    flipped = rows[:1] + rows[half - 1 : 0 : -1] + rows[half:]
+    return transposed_rows(HadamardMatrixQ(code.length, flipped))
+
+
+def column_code(code: TypeQCode) -> frozenset[int]:
+    """The transpose's 8n words the quadratic way: every column and its complement."""
+    u = (1 << code.length) - 1
+    cols = flipped_columns(code)
+    return frozenset(cols) | frozenset(c ^ u for c in cols)
 
 
 def transpose_relabel(word: int, n: int) -> int:

@@ -18,7 +18,7 @@ from hfpq.cli import (
     parse_code_file,
 )
 from hfpq.core import BinaryWord
-from hfpq.transforms import double_code
+from hfpq.transforms import double_code, transpose_code
 from hfpq.typeq import TypeQCode, build_matrix, codeword_set
 
 GOLDEN_FILE = """HFPQ v1
@@ -279,6 +279,18 @@ def test_transpose_command(golden_path, tmp_path, capsys):
     report = capsys.readouterr().out
     assert "rank=12" in report
     assert "kernel_dim=1" in report
+
+
+def test_transpose_command_at_length_768(golden_chain, tmp_path):
+    # the chain's last doubled code through the CLI: the written file
+    # holds transpose_code's a, b and iota
+    doubled, transposed = golden_chain[-1]
+    assert doubled.length == 768
+    path, out = tmp_path / "d.code", tmp_path / "t.code"
+    path.write_text(format_code_file(doubled), encoding="ascii")
+    assert main(["transpose", str(path), "-o", str(out)]) == 0
+    written = load_code(str(out))
+    assert written == transpose_code(doubled) == transposed
 
 
 def test_double_command(golden_path, tmp_path, capsys):

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from hfpq.analysis import analyze, compute_kernel, kernel_from_iota, structured_iota
+from hfpq import transforms
+from hfpq.analysis import (
+    IndexingInconsistency,
+    analyze,
+    compute_kernel,
+    kernel_from_iota,
+    structured_iota,
+)
 from hfpq.core import BinaryWord
 from hfpq.gf2poly import (
     X_PLUS_1,
@@ -15,7 +22,6 @@ from hfpq.gf2poly import (
     reverse_bits,
     rotl,
 )
-from hfpq.search import search_k2
 from hfpq.transforms import (
     double_code,
     double_gcd_check,
@@ -34,7 +40,14 @@ from hfpq.typeq import (
     make_code,
 )
 
-from .oracles import kernel_iota, squared_factorization, transpose_relabel
+from .oracles import (
+    column_code,
+    flipped_columns,
+    kernel_iota,
+    squared_factorization,
+    transpose_relabel,
+    transposed_rows,
+)
 
 
 def _kappa1(code: TypeQCode) -> int:
@@ -87,16 +100,55 @@ def test_transpose_columns_are_the_relabelled_columns(golden, golden_chain):
     # canonical coordinate order, as relabelling each column did, at every
     # length of the chain (24 to 768)
     for code in [golden] + [doubled for doubled, _ in golden_chain]:
-        n, half = code.n, 2 * code.n
-        u = (1 << code.length) - 1
-        matrix = build_matrix(code)
-        rows = matrix.rows
-        flipped = matrix._replace(rows=rows[:1] + rows[half - 1 : 0 : -1] + rows[half:])
-        relabelled = tuple(transpose_relabel(c, n) for c in matrix.transposed_rows())
-        assert flipped.transposed_rows() == relabelled
+        columns = transposed_rows(build_matrix(code))
+        relabelled = tuple(transpose_relabel(c, code.n) for c in columns)
+        assert flipped_columns(code) == relabelled
+
+
+@pytest.fixture(scope="module")
+def column_oracle_codes(golden, golden_chain, general_hits, general_hits_5,
+                        general_hits_6, k2_hits_8):
+    """The golden chain to length 1536, search_general(n <= 6), search_k2(8)."""
+    chain = [golden] + [doubled for doubled, _ in golden_chain]
+    chain.append(double_code(chain[-1]))
+    assert chain[-1].length == 1536
+    codes = chain + [c for n in (1, 2, 3, 4) for c in general_hits[n]]
+    return codes + general_hits_5 + general_hits_6 + k2_hits_8
+
+
+def test_transpose_words_are_the_columns(column_oracle_codes):
+    # the O(L^2) comparison transpose_code's two-column proof replaces:
+    # 8n words of the transpose = all 4n columns of H and their complements
+    for code in column_oracle_codes:
+        assert codeword_set(transpose_code(code)) == column_code(code)
+
+
+def test_transpose_two_column_lemma(column_oracle_codes):
+    # column 1 of the flipped matrix is a', column 4n-1 is b' (b' + u is
+    # also allowed, but both have bit 0 clear, so it is always b')
+    for code in column_oracle_codes:
+        cols = flipped_columns(code)
         t = transpose_code(code)
-        assert t.a_vec.bits == relabelled[1]
-        assert codeword_set(t) == set(relabelled) | {c ^ u for c in relabelled}
+        assert cols[1] == t.a_vec.bits
+        assert cols[code.length - 1] == t.b_vec.bits
+
+
+def test_transpose_catches_the_unflipped_row_order(golden, general_hits, k2_hits,
+                                                   monkeypatch):
+    # H's rows in their own order give a column 1 that still verifies at
+    # every one of these codes, but then column 4n-1 is not its b: only
+    # the b-column test raises
+    real = transforms.build_matrix
+
+    def preflipped(code):
+        matrix = real(code)
+        rows, half = matrix.rows, 2 * code.n
+        return matrix._replace(rows=rows[:1] + rows[half - 1 : 0 : -1] + rows[half:])
+
+    monkeypatch.setattr(transforms, "build_matrix", preflipped)
+    for code in [golden] + general_hits[4] + k2_hits[4]:
+        with pytest.raises(IndexingInconsistency, match="column 4n-1"):
+            transpose_code(code)
 
 
 def test_f5_on_golden_chain(golden, golden_chain):
@@ -157,10 +209,10 @@ def _doubled_by_bit(a: int, kappa: int, n: int) -> int:
     return out
 
 
-def test_doubled_generator_bit_by_bit(golden, golden_chain, k2_hits):
+def test_doubled_generator_bit_by_bit(golden, golden_chain, k2_hits, k2_hits_8):
     # bit 2i of each new half is bit i of a_h, bit 2i+1 is bit i of kappa_h:
     # every code of search_k2(4), (6) and (8), and the golden chain to 768
-    pairs = [(c, double_code(c)) for c in k2_hits[4] + k2_hits[6] + search_k2(8)]
+    pairs = [(c, double_code(c)) for c in k2_hits[4] + k2_hits[6] + k2_hits_8]
     sources = [golden] + [doubled for doubled, _ in golden_chain]
     pairs += list(zip(sources, sources[1:]))
     assert pairs[-1][1].length == 768
@@ -199,10 +251,18 @@ def test_double_small_hits_kernel_exponent_doubles(k2_hits):
         assert analyze(d).kernel_dim == 2
 
 
-def test_double_preserves_maximal_rank(k2_hits):
-    for code in k2_hits[4][:8]:
-        if analyze(code).rank == 2 * code.n:
-            assert analyze(double_code(code)).rank == 4 * code.n
+def test_double_doubles_the_rank(golden, golden_chain, k2_hits, k2_hits_8):
+    # every code of search_k2(4), (6) and (8), and the golden chain to
+    # 768, doubles to k = 2 and exactly twice its rank.  All of them have
+    # the maximal rank 2n, where the paper proves it; the non-maximal ranks
+    # first occur at length 48, outside search_k2(n <= 8)
+    sources = [golden] + [doubled for doubled, _ in golden_chain]
+    for code in k2_hits[4] + k2_hits[6] + k2_hits_8 + sources:
+        rank = analyze(code).rank
+        assert rank == 2 * code.n
+        doubled = analyze(double_code(code))
+        assert doubled.kernel_dim == 2
+        assert doubled.rank == 2 * rank
 
 
 def test_rank_criterion_reference(golden):
