@@ -33,25 +33,26 @@ representatives are generated, not filtered from every half-word:
 _quotient keeps the odd necklaces of the FKM generator (_necklaces) that
 no rotation of their complement undercuts, lazily and in increasing
 order.  The searches expand each hit of the quotient into its orbit
-(_expand): every image takes its b and its dedup key from the hit's b
-and kernel by sigma_s, without derive_b_bits, codeword_table or
-kernel_ints, and an image and its complement share both.  So dedup still
-sees every raw hit exactly once.  search_general expands each orbit from
-its first hit only.  No search builds a kernel from codewords: from n = 3
-on it is read off a by analysis.structured_iota (F5) once per expanded
-hit, and its iota is attached to every image; at n <= 2 the code is
-linear and its kernel is its word table.  search_k2 and search_general
-consume their generator completely; ito_scan takes the first hit of
-each, which is the smallest hit overall because the least word of an
-orbit lies in a quotient row (or has a quotient a1).
+(_expand): every image takes its b from the hit's b by sigma_s, without
+derive_b_bits, codeword_table or kernel_ints, and an image and its
+complement share it.  search_general expands each orbit from its least
+member only: in a free row (_free) every hit is that member, and in the
+few other rows _orbit decides.  So dedup sees every raw hit exactly once.
+No search builds a kernel from codewords: from n = 3 on it is read off a
+by analysis.structured_iota (F5) once per expanded hit, and its iota is
+attached to every image; at n <= 2 the code is linear and its kernel is
+its word table.  search_k2 and search_general consume their generator
+completely; ito_scan takes the first hit of each, which is the smallest
+hit overall because the least word of an orbit lies in a quotient row (or
+has a quotient a1).
 
-The key of a raw hit a is its kernel coset a + K(C), 2 or 4 words for a
-nonlinear code and C itself for the linear codes at n <= 2: the hits
-generating C are exactly a + K(C) (F3, proof in _expand).  The searches
-hold (n, a, b, iota, key) ints until dedup, which keeps the smallest a
-string per key and builds a TypeQCode only for it; the output is sorted
-by the a string, so it is independent of the order in which candidates
-are visited.
+The key of a raw hit a names its code C: from n = 3 on one int, a
+canonical member of the kernel coset a + K(C), which is exactly the set
+of hits generating C (F3 and the key, in _expand); at n <= 2 the linear
+code C itself.  Dedup keeps the hit of least a string per key
+(_sorted_unique) and builds a TypeQCode only for it; the output is
+sorted by the a string, so it is independent of the order in which
+candidates are visited.
 """
 
 from __future__ import annotations
@@ -59,29 +60,40 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import kernels
-from .analysis import kernel_from_iota, structured_iota
+from .analysis import structured_iota
 from .core import BinaryWord
 from .gf2poly import reverse_bits, rotl
-from .typeq import TypeQCode
+from .typeq import TypeQCode, kappa_vector
 
 Progress = Callable[[int, int], None]
+# the key of a raw hit: an int from n = 3 on, the codeword set at n <= 2
+Key = int | frozenset[int]
 # a raw hit: (n, a, b, iota, key)
-Hit = tuple[int, int, int, int | None, frozenset[int]]
+Hit = tuple[int, int, int, int | None, Key]
 
 
 def _sorted_unique(hits: Iterable[Hit]) -> list[TypeQCode]:
     """Deduplicate raw hits by key: one code per key, sorted by a string.
 
-    Keeps the smallest a string per key; the a string compares as the int
-    reverse_bits(a, 4n).
+    Keeps the smallest a string per key.  The a string compares as the int
+    reverse_bits(a, 4n), bit 0 first.  From n = 3 on the hits of one key
+    differ by u, which flips bit 0, and by kappa, whose lowest set bit is
+    bit 1 (_expand), so their strings part at bit 0 or bit 1 and the 2-bit
+    rank (bit 0, bit 1) orders them; at n <= 2 a key holds up to 8 hits,
+    and the rank is the whole string.  reverse_bits then runs once per code,
+    for the final sort, not once per raw hit.
     """
-    best: dict[frozenset[int], tuple[int, int, int, int, int | None]] = {}
-    for n, a, b, iota, key in hits:
-        order = reverse_bits(a, 4 * n)
+    best: dict[Key, tuple[int, Hit]] = {}
+    for hit in hits:
+        n, a, _, _, key = hit
+        rank = (a & 1) << 1 | (a >> 1) & 1 if n > 2 else reverse_bits(a, 4 * n)
         old = best.get(key)
-        if old is None or order < old[0]:
-            best[key] = (order, n, a, b, iota)
-    return [_code(*hit[1:]) for hit in sorted(best.values())]
+        if old is None or rank < old[0]:
+            best[key] = (rank, hit)
+    kept = [hit for _, hit in best.values()]
+    del best  # before the records are built: for a long listing it sets the peak
+    kept.sort(key=lambda hit: reverse_bits(hit[1], 4 * hit[0]))
+    return [_code(*hit[:4]) for hit in kept]
 
 
 def _code(n: int, a_bits: int, b_bits: int, iota: int | None) -> TypeQCode:
@@ -89,7 +101,13 @@ def _code(n: int, a_bits: int, b_bits: int, iota: int | None) -> TypeQCode:
     return TypeQCode(n, BinaryWord(a_bits, length), BinaryWord(b_bits, length), iota)
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _stop(n: int, limit: int | None) -> int:
+    _check_n(n)
     space = 1 << (4 * n)
     if limit is None:
         return space
@@ -190,16 +208,35 @@ def _orbit(a: int, n: int) -> set[int]:
     return {w for s in range(half) for w in _sigma((a, a ^ u), s, half)}
 
 
-def _expand(
-    a: int, b: int, kernel: list[int], n: int
-) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """(image, b, key) for each image in _orbit(a, n), from one hit's kernel.
+def _free(a2: int, half: int) -> bool:
+    """Whether the row a2 is free: its class has 2 * half members.
 
-    (a, b) is a hit, b = derive_b_bits(a, n) and kernel is K(C), the
-    kernel of the hit's code C.  The key of a is the coset a + K(C), which
-    identifies C (F3).  No image calls derive_b_bits, codeword_table or
-    kernel_ints; write sigma for sigma_s, u for the all-ones word, w(g)
-    for the word of g and S_k = 1 + x + ... + x^(k-1).
+    The class of a2 is its rotations and the rotations of its complement,
+    at most 2 * half = 4n half-words.  In a free quotient row every hit a
+    is the least word of its orbit (_orbit), and the orbit has 4n words.
+    The high half of sigma_s a, or of its complement, is rot(a2, -s) or
+    its complement: over s < 2n these run through the class of a2, so the
+    4n images have distinct high halves and are distinct.  Every image
+    other than a has a high half other than a2, which exceeds a2, since a2
+    is least in its class (a quotient row); the high half decides the
+    order of the ints.  tests/test_search.py checks this exhaustively for
+    n <= 7.
+    """
+    mask = (1 << half) - 1
+    rotations = {(x | x << half) >> k & mask for x in (a2, a2 ^ mask) for k in range(half)}
+    return len(rotations) == 2 * half
+
+
+def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
+    """The raw hits (n, image, b, iota, key), one per image in _orbit(a, n).
+
+    (a, b) is a hit, b = derive_b_bits(a, n), and iota is structured_iota(a,
+    n): the kernel K(C) of the hit's code C is {0, u, kappa, kappa + u},
+    kappa = kappa_vector(iota), or {0, u} when iota is None (n >= 3, F5).
+    Only (a, b) is moved by sigma: no image calls derive_b_bits,
+    codeword_table or kernel_ints, and from n = 3 on its key is read off
+    the image.  Write sigma for sigma_s, u for the all-ones word, w(g) for
+    the word of g and S_k = 1 + x + ... + x^(k-1).
 
     L1. derive_b_bits(a + u) = derive_b_bits(a).  phi(u_h) = u_h, so d1 =
         a1 + phi(a2) and d2 = a2 + phi(a1) do not change when both halves
@@ -238,30 +275,53 @@ def _expand(
             kappa2, else in {kappa, kappa + u}.  So (a + kappa) + pi_a C =
             C and (b + beta) + pi_b C = C: the 8n words of a + kappa lie in
             C, so its code is C, and so is that of a + kappa + u (_orbit).
-        So two hits share a key iff they share a code.  sigma is a
-        coordinate permutation that maps C onto the code of sigma a
-        (_orbit), so K(sigma C) = sigma K(C), and the key of sigma a is
-        sigma applied to a + K(C) word by word.  u is in K, so sigma a + u
-        has the same key.
+        So two hits share a code iff they share a coset of K(C).
+    Key. From n = 3 on, kappa = kappa_vector(iota) has bit 0 clear and bit
+        1 set (its first half is the alternating v).  So a + K(C) has one
+        member with bit 0 clear, and bit 1 clear too when kappa is in K(C):
+        add u if bit 0 is set, then kappa if bit 1 is.  That member is the
+        key.  sigma maps C onto the code of sigma a (_orbit), so K(sigma C)
+        = sigma K(C) = K(C): sigma fixes u and sends kappa to kappa or kappa
+        + u (_orbit).  So the key of an image comes from the image alone,
+        and an image and its complement share it.  At n <= 2 the key is the
+        linear code itself, its word set.
+    Orbit. sigma_s is sigma_1 applied s times.  Let p be the least s > 0
+        with sigma_s a in {a, a + u} (p <= 2n).  The 2p words sigma_t a and
+        sigma_t a + u for t < p are distinct, since an equality would give
+        a smaller p, and every later image is one of them.  So the loop
+        stops at p, and each image is yielded once without a set; in a
+        free row (_free) p = 2n.
 
-    So sigma a and sigma a + u share one b (L1, L2) and one key.  Images
-    fixed by some sigma_s are yielded once.  tests/test_search.py checks
-    F3 exhaustively for n <= 6.
+    So sigma a and sigma a + u share one b (L1, L2) and one key, and come
+    out in that order.  tests/test_search.py checks F3 and the key
+    exhaustively for n <= 6.
     """
     half = 2 * n
+    mask = (1 << half) - 1
     u = (1 << (2 * half)) - 1
-    coset = [a ^ z for z in kernel]
-    done: set[int] = set()
+    kappa = 0 if iota is None else kappa_vector(iota, n).bits
+    # each half doubled: rotl(h, s) = hh >> (half - s) & mask, rotl(h, -s) = hh >> s & mask
+    double = 1 << half | 1
+    aa1, aa2 = (a & mask) * double, (a >> half) * double
+    bb1, bb2 = (b & mask) * double, (b >> half) * double
+    hits: list[Hit] = []
     for s in range(half):
-        image, b_image = _sigma((a, b), s, half)
-        if image in done:
-            continue
-        done |= {image, image ^ u}
+        t = half - s
+        image = aa1 >> t & mask | (aa2 >> s & mask) << half
+        if s and (image == a or image == a ^ u):
+            break
+        b_image = bb1 >> t & mask | (bb2 >> s & mask) << half
         if b_image & 1:
             b_image ^= u
-        key = frozenset(_sigma(coset, s, half))
-        yield image, b_image, key
-        yield image ^ u, b_image, key
+        if n > 2:
+            key: Key = image ^ u if image & 1 else image
+            if key & 2:
+                key ^= kappa
+        else:
+            key = frozenset(kernels.codeword_table(image, b_image, n))
+        hits.append((n, image, b_image, iota, key))
+        hits.append((n, image ^ u, b_image, iota, key))
+    return hits
 
 
 def _settled(a1: int, n: int) -> bool:
@@ -394,12 +454,11 @@ def search_k2(n: int, *, progress: Progress | None = None) -> list[TypeQCode]:
     n <= 2, where every code is linear and none has a kernel of dimension
     2.  Each quotient candidate stands for its whole orbit.
     """
+    _check_n(n)
     half = 2 * n
     hits: list[Hit] = []
     for iota, a_bits, b_bits in _structured(n) if n >= 3 else ():
-        kernel = kernel_from_iota(iota, n)
-        for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
-            hits.append((n, image, b_image, iota, key))
+        hits += _expand(a_bits, b_bits, iota, n)
     if progress is not None:
         progress(half << (half - 1), len(hits))
     return _sorted_unique(hits)
@@ -415,29 +474,26 @@ def search_general(
 
     Every hit passes full verification; iota is attached when the kernel
     has dimension 2.  With a limit, only the images below it are kept.
-    The raw hits stream into the dedup, so memory holds one entry per
-    code and one int per image, not every raw hit.
+    Each orbit is expanded from its least member, which is below the limit
+    whenever any of its images is, and lies in a quotient row: every hit of
+    a free row (_free), and in any other row the hits that are least in
+    their _orbit.  The raw hits stream into the dedup, so memory holds one
+    entry per code, not every raw hit.
     """
     stop = _stop(n, limit)
+    half = 2 * n
 
     def hits() -> Iterator[Hit]:
         raw = 0
-        seen: set[int] = set()
         for covered, found in _general(n, stop):
+            free = bool(found) and _free(found[0][0] >> half, half)
             for a_bits, b_bits in found:
-                # seen holds whole orbits, so this hit's orbit is expanded already
-                if a_bits in seen:
+                if not (free or min(_orbit(a_bits, n)) == a_bits):
                     continue
                 iota = structured_iota(a_bits, n)
-                if n <= 2:  # linear: K(C) = C
-                    kernel = list(kernels.codeword_table(a_bits, b_bits, n))
-                else:
-                    kernel = kernel_from_iota(iota, n)
-                for image, b_image, key in _expand(a_bits, b_bits, kernel, n):
-                    seen.add(image)
-                    if image < stop:
-                        raw += 1
-                        yield n, image, b_image, iota, key
+                kept = [h for h in _expand(a_bits, b_bits, iota, n) if h[1] < stop]
+                raw += len(kept)
+                yield from kept
             if progress is not None:
                 progress(covered, raw)
 

@@ -17,6 +17,7 @@ from hfpq.gf2poly import reverse_bits, rotl
 from hfpq.search import (
     ItoScanRow,
     _expand,
+    _free,
     _general,
     _necklaces,
     _orbit,
@@ -24,6 +25,7 @@ from hfpq.search import (
     _quotient,
     _row_hits,
     _settled,
+    _sorted_unique,
     _stop,
     _structured,
     ito_scan,
@@ -143,9 +145,7 @@ def test_search_k2_n2_candidates_are_linear():
     images = [
         (image, b_image)
         for _, a, b in _structured(2)
-        for image, b_image, _ in _expand(
-            a, b, kernel_ints(kernels.codeword_table(a, b, 2)), 2
-        )
+        for _, image, b_image, _, _ in _expand(a, b, None, 2)
     ]
     assert len(images) == 32
     for a, b in images:
@@ -421,13 +421,20 @@ def _raw_hits(monkeypatch, run):
 
 
 def _assert_images_match_fresh(raw, n):
-    # every image carries its own b, its kernel's iota and its own key, the
-    # coset a + K(C) of a kernel computed afresh
+    # every image carries its own b, its kernel's iota and its own key: in
+    # the coset a + K(C) of a kernel computed afresh, the one member with
+    # bit 0 clear, and bit 1 clear too when K(C) has 4 words; at n <= 2 the
+    # coset is the linear code C itself
     for hit_n, a_bits, b_bits, iota, key in raw:
         assert hit_n == n
         assert b_bits == kernels.derive_b_bits(a_bits, n)
         kernel, fresh_iota = kernel_iota(kernels.codeword_table(a_bits, b_bits, n), n)
-        assert key == frozenset(a_bits ^ z for z in kernel)
+        coset = {a_bits ^ z for z in kernel}
+        if n <= 2:
+            assert key == frozenset(coset)
+        else:
+            low = 3 if len(kernel) == 4 else 1
+            assert [z for z in coset if not z & low] == [key]
         assert iota == fresh_iota
 
 
@@ -492,25 +499,42 @@ def test_tables_follow_sigma_on_raw_hits(n):
 
 
 def _quotient_hits(n):
-    """(a, b, kernel) of every hit of both quotient scans."""
+    """(a, b, iota) of every hit of both quotient scans, iota from its kernel."""
     for _, found in _general(n, 1 << (4 * n)):
         for a, b in found:
-            yield a, b, kernel_ints(kernels.codeword_table(a, b, n))
+            yield a, b, kernel_iota(kernels.codeword_table(a, b, n), n)[1]
     for _, a, b in _structured(n):
-        yield a, b, kernel_ints(kernels.codeword_table(a, b, n))
+        yield a, b, kernel_iota(kernels.codeword_table(a, b, n), n)[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_expand_yields_the_orbit(n):
     # each image of _orbit exactly once, with one b and one key per pair
     u = (1 << (4 * n)) - 1
-    for a, b, kernel in _quotient_hits(n):
-        out = list(_expand(a, b, kernel, n))
-        images = [image for image, _, _ in out]
+    for a, b, iota in _quotient_hits(n):
+        out = _expand(a, b, iota, n)
+        images = [image for _, image, _, _, _ in out]
         assert len(images) == len(set(images))
         assert set(images) == _orbit(a, n)
-        for (x, bx, kx), (y, by, ky) in zip(out[::2], out[1::2]):
+        assert all(hit[0] == n and hit[3] == iota for hit in out)
+        for (_, x, bx, _, kx), (_, y, by, _, ky) in zip(out[::2], out[1::2]):
             assert y == x ^ u and by == bx and ky == kx
+
+
+def _generators(n):
+    """{codeword set C: the raw hits a whose code is C}, over every raw hit.
+
+    The raw hits are the profile join over every odd row, the word scan's
+    equal (n <= 5).
+    """
+    classes = {}
+    generators = {}
+    for a2 in range(1 << (2 * n)):
+        if a2.bit_count() & 1:
+            for a, b in _row_hits(a2, n, classes):
+                words = frozenset(kernels.codeword_table(a, b, n))
+                generators.setdefault(words, []).append((a, b))
+    return generators
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -518,20 +542,13 @@ def test_kernel_coset_is_the_set_of_generators(n):
     # F3 of search._expand, over every raw hit: from n = 3 on the raw hits
     # with a's codeword set C are exactly a + K(C), and K(C) is {0, u} or
     # {0, u, kappa, kappa + u} with kappa alternating on each half; at
-    # n <= 2 the codes are linear and a + K(C) = C.  The raw hits are the
-    # profile join over every odd row, the word scan's equal (n <= 5).
+    # n <= 2 the codes are linear and a + K(C) = C.
     half = 2 * n
     mask = (1 << half) - 1
     u = (1 << (2 * half)) - 1
     alternating = {mask // 3, mask // 3 << 1}
-    classes = {}
-    generators = {}
-    for a2 in range(1 << half):
-        if a2.bit_count() & 1:
-            for a, b in _row_hits(a2, n, classes):
-                words = frozenset(kernels.codeword_table(a, b, n))
-                generators.setdefault(words, []).append(a)
-    for words, gens in generators.items():
+    for words, pairs in _generators(n).items():
+        gens = [a for a, _ in pairs]
         kernel = kernel_ints(words)
         for a in gens:
             coset = {a ^ z for z in kernel}
@@ -542,6 +559,48 @@ def test_kernel_coset_is_the_set_of_generators(n):
         assert kernel in ([0, u], sorted({0, u, kappa, kappa ^ u}))
         if len(kernel) == 4:
             assert kappa & mask in alternating and kappa >> half in alternating
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rank_orders_each_coset_by_a_string(n):
+    # the 2-bit rank (bit 0, bit 1) of search._sorted_unique orders the
+    # hits of every code, the coset a + K(C), as their a strings sort, and
+    # gives each its own rank; fed a coset in either order, the dedup keeps
+    # the hit of least a string
+    for pairs in _generators(n).values():
+        # the first hit of _expand is (n, a, b, iota, key) for a itself
+        hits = [_expand(a, b, structured_iota(a, n), n)[0] for a, b in pairs]
+        assert len({key for *_, key in hits}) == 1
+        ranks = {(a & 1) << 1 | (a >> 1) & 1: a for _, a, _, _, _ in hits}
+        assert len(ranks) == len(hits) in (2, 4)
+        by_string = sorted(ranks.values(), key=lambda a: BinaryWord(a, 4 * n).to_string())
+        assert [ranks[r] for r in sorted(ranks)] == by_string
+        for order in (hits, hits[::-1]):
+            (code,) = _sorted_unique(order)
+            assert code.a_vec.bits == by_string[0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_free_rows_hold_only_orbit_least_hits(n):
+    # the lemma of search._free, over every quotient row: in a free row
+    # (a class of 4n half-words under rotation and complement) every hit is
+    # the least of its orbit, and its orbit has 4n words; the other rows
+    # are few, and _orbit decides there
+    half = 2 * n
+    mask = (1 << half) - 1
+    off_free = 0
+    *rows, _ = _general(n, 1 << (4 * n))
+    for end, found in rows:
+        a2 = (end - 1) >> half
+        klass = {rotl(x, s, half) for x in (a2, a2 ^ mask) for s in range(half)}
+        assert _free(a2, half) == (len(klass) == 4 * n)
+        if len(klass) < 4 * n:
+            off_free += len(found)
+            continue
+        for a, _ in found:
+            orbit = _orbit(a, n)
+            assert len(orbit) == 4 * n and min(orbit) == a
+    assert off_free == {3: 12, 4: 0, 5: 20, 6: 0, 7: 84}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -645,6 +704,53 @@ def test_ito_scan_10_witnesses():
         for r in rows
     )
     assert hashlib.sha256(lines.encode("ascii")).hexdigest() == ITO_SCAN_10_DIGEST
+
+
+# sha256 of the sorted a strings, newline-joined, and of the lines
+# "a-string b-string iota", recorded before the int keys and free rows
+LISTING_DIGESTS = {
+    ("general", 6): (
+        "363ebae059d322d615ff962673344dbe8dac50b7ad8a17e91c64bbc4f7683905",
+        "b0b96fae128f44867f0c9f76bd5a0ff60e459b0ffbd8e4864126d9d59f873a87",
+    ),
+    ("general", 7): (
+        "8468468a4088d2d49e6c2d4cd55f504342cf0fea2b7fa0393b4ac25b738253fc",
+        "f251a17bf6b8be66de7891f869ea2e2b7bf7137c7cb68bec04db6a7ad8eddf4b",
+    ),
+    ("general", 8): (
+        "699eb8fcddd8bf2b5b9951ead407c0a355bdf8ccf20d0625472f9b3b0f198bd0",
+        "2535d5c1bd186a840ee260aac61d271f7815ee3fa1be2fc10117c38f0fb9d85c",
+    ),
+    ("k2", 8): (
+        "5edf21279c28b2ecaa5d7c43016724a34aaeb95a4754ff7488b4d42205c6cfce",
+        "18fa1814a7303e9ac84d2f5cb42377139ea6a69b3503a56f5c6a5b6ce2f48968",
+    ),
+}
+
+
+@pytest.mark.parametrize("search, n", sorted(LISTING_DIGESTS))
+def test_listing_digests(search, n, general_hits_6, k2_hits_8):
+    if (search, n) == ("general", 6):
+        codes = general_hits_6
+    elif search == "k2":
+        codes = k2_hits_8
+    else:
+        codes = search_general(n)
+    a_strings = [c.a_vec.to_string() for c in codes]
+    assert a_strings == sorted(a_strings)
+    lines = [f"{c.a_vec.to_string()} {c.b_vec.to_string()} {c.iota}" for c in codes]
+    digests = tuple(
+        hashlib.sha256("\n".join(rows).encode("ascii")).hexdigest()
+        for rows in (a_strings, lines)
+    )
+    assert digests == LISTING_DIGESTS[search, n]
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_nonpositive_n_rejected(n):
+    for search in (search_general, search_k2):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            search(n)
 
 
 @pytest.mark.parametrize("limit", [0, -5])
