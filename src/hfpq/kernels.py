@@ -7,6 +7,7 @@ from .kernels_py import (
     codeword_table,
     derive_a2_bits,
     derive_b_bits,
+    first_violation,
     half_profile,
     scan_general,
 )

@@ -60,14 +60,20 @@ its b is b* or b* + u by 1.  []
 
 So the scans decide on a alone (powers_ok: the parity of the halves and,
 by the half-profile lemma, the weights of a, ..., a^(n-1)) and complete
-every survivor with b*, and check_candidate is powers_ok, the test b in
-{b*, b* + u} and codeword_table.  tests/test_kernels.py checks the theorem
-exhaustively at small n.
+every survivor with b*.  A given pair (a, b) is decided on the two words
+alone by first_violation: the parity, then b^2 = u and b a = a^-1 b in
+closed form, then the weights of a, ..., a^(n-1) in the one power loop
+that powers_ok shares (_bad_power).  By 1, once a^(2n) = u the two
+relations hold iff b is b* or b* + u, so no test through derive_b_bits
+repeats them.  verify_hfp reports the first violation, and check_candidate
+is "no violation, then codeword_table".  tests/test_kernels.py checks the
+theorem exhaustively at small n.
 """
 
 from __future__ import annotations
 
-from .gf2poly import div_x_plus_1, reverse_bits
+from .core import GroupElement
+from .gf2poly import div_x_plus_1, reverse_bits, rotl
 
 
 def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:
@@ -116,6 +122,28 @@ def half_profile(h: int, n: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
+def _bad_power(a: int, n: int) -> tuple[int, int] | None:
+    """(i, wt(a^i)) for the first 0 < i < n with wt(a^i) != 2n, else None.
+
+    The one power loop: each step gives the word a^k = a + pi_a a^(k-1).
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    shift = half - 1
+    v = 0  # the word of a^0
+    for i in range(1, n):
+        lo = v & mask
+        hi = v >> half
+        v = a ^ (
+            (((lo << 1) | (lo >> shift)) & mask)
+            | ((((hi << 1) | (hi >> shift)) & mask) << half)
+        )
+        weight = v.bit_count()
+        if weight != half:
+            return i, weight
+    return None
+
+
 def powers_ok(a: int, n: int) -> bool:
     """Whether a^(2n) = u and wt(a^i) = 2n for 0 < i < 2n.
 
@@ -124,22 +152,52 @@ def powers_ok(a: int, n: int) -> bool:
     wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma), so only a, ...,
     a^(n-1) are visited.
     """
+    mask = (1 << (2 * n)) - 1
+    return bool((a & mask).bit_count() & (a >> (2 * n)).bit_count() & 1) and (
+        _bad_power(a, n) is None
+    )
+
+
+def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
+    """The first failed check of the pair (a, b) as (failure, witness), else None.
+
+    The checks, in order, read a and b alone, not the word table:
+
+    - a^(2n) = u: both halves of a odd (the parity lemma);
+    - b^2 = u: w(b b) = b + pi_b b, so b + rev(b) = u, rev the reversal of
+      all 4n bits;
+    - b a = a^-1 b: b + rev(a) = x^-1 (a + b), x^-1 rotating each half
+      right by one;
+    - wt(a^i) = 2n for 0 < i < n (_bad_power), witness (a^i, weight).
+
+    Closed form of b a = a^-1 b.  w(b a) = b + pi_b a = b + rev(a).  The
+    relation a^(4n) = e makes a^-1 b the element a^(4n-1) b, whose word in
+    the table is w(a^(4n-1)) + pi_a^(4n-1) b = S_(4n-1) a + x^(4n-1) b,
+    S_k = 1 + x + ... + x^(k-1) acting on both halves.  Mod x^(2n) + 1,
+    x^(2n) = 1, so S_(4n) = 2 S_(2n) = 0 and S_(4n-1) = S_(4n) + x^(4n-1)
+    = x^-1: the word is x^-1 (a + b).  Likewise the table's w(a^(2n)) is
+    S_(2n) a, whose half h is wt(a_h) u_h (the parity lemma).  Both
+    identities hold for every (a, b), so these tests say what the table's
+    words say.  Past them the weights of a, ..., a^(n-1) decide (the
+    theorem, and the half-profile lemma for a^n, ..., a^(2n-1)).
+    """
     half = 2 * n
+    length = 2 * half
     mask = (1 << half) - 1
+    u = (1 << length) - 1
     if not (a & mask).bit_count() & (a >> half).bit_count() & 1:
-        return False
-    shift = half - 1
-    v = 0  # the word of a^0; each step gives a^k = a + pi_a a^(k-1)
-    for _ in range(1, n):
-        lo = v & mask
-        hi = v >> half
-        v = a ^ (
-            (((lo << 1) | (lo >> shift)) & mask)
-            | ((((hi << 1) | (hi >> shift)) & mask) << half)
-        )
-        if v.bit_count() != half:
-            return False
-    return True
+        return "RelationViolation", "a^{2n} != u"
+    if b ^ reverse_bits(b, length) != u:
+        return "RelationViolation", "b^2 != u"
+    c = a ^ b
+    if b ^ reverse_bits(a, length) != rotl(c & mask, -1, half) | (
+        rotl(c >> half, -1, half) << half
+    ):
+        return "RelationViolation", "b a != a^{-1} b"
+    bad = _bad_power(a, n)
+    if bad is None:
+        return None
+    return "WeightViolation", (GroupElement(bad[0], False), bad[1])
 
 
 def derive_b_bits(a: int, n: int) -> int | None:
@@ -174,13 +232,9 @@ def derive_b_bits(a: int, n: int) -> int | None:
 def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:
     """codeword_table(a, b, n) if (a, b) yields a type-Q HFP code, else None.
 
-    By the theorem of the module docstring that is exactly when
-    powers_ok(a, n) holds and b is derive_b_bits(a, n) or its complement.
+    That is exactly when first_violation finds none (module docstring).
     """
-    if not powers_ok(a, n):
-        return None
-    b_star = derive_b_bits(a, n)
-    if b not in (b_star, b_star ^ ((1 << (4 * n)) - 1)):
+    if first_violation(a, b, n) is not None:
         return None
     return codeword_table(a, b, n)
 

@@ -26,7 +26,7 @@ Every survivor is a hit, completed with b = derive_b_bits(a).
 Both generators scan a quotient.  The raw hits are closed under sigma_s
 (rotate half 1 by +s and half 2 by -s) and the complement a -> a + u, and
 these maps keep every structured iota family and every kernel iota (proof
-in _orbit).  So _general scans only the rows a2 that are least in their
+in _expand).  So _general scans only the rows a2 that are least in their
 class under rotation and complement, and _structured only the a1 that
 are; each row or a1 outside this set is an image of one inside.  These
 representatives are generated, not filtered from every half-word:
@@ -37,14 +37,14 @@ order.  The searches expand each hit of the quotient into its orbit
 derive_b_bits, codeword_table or kernel_ints, and an image and its
 complement share it.  search_general expands each orbit from its least
 member only: in a free row (_free) every hit is that member, and in the
-few other rows _orbit decides.  So dedup sees every raw hit exactly once.
-No search builds a kernel from codewords: from n = 3 on it is read off a
-by analysis.structured_iota (F5) once per expanded hit, and its iota is
-attached to every image; at n <= 2 the code is linear and its kernel is
-its word table.  search_k2 and search_general consume their generator
-completely; ito_scan takes the first hit of each, which is the smallest
-hit overall because the least word of an orbit lies in a quotient row (or
-has a quotient a1).
+few other rows the least of the hit's images decides.  So dedup sees
+every raw hit exactly once.  No search builds a kernel from codewords:
+from n = 3 on it is read off a by analysis.structured_iota (F5) once per
+expanded hit, and its iota is attached to every image; at n <= 2 the
+code is linear and its kernel is its word table.  search_k2 and
+search_general consume their generator completely; ito_scan takes the
+first hit of each, which is the smallest hit overall because the least
+word of an orbit lies in a quotient row (or has a quotient a1).
 
 The key of a raw hit a names its code C: from n = 3 on one int, a
 canonical member of the kernel coset a + K(C), which is exactly the set
@@ -170,50 +170,12 @@ def _quotient(half: int) -> Iterator[int]:
                 yield x
 
 
-def _sigma(words: Iterable[int], s: int, half: int) -> list[int]:
-    """sigma_s of each word (0 <= s <= half): half 1 rotated by +s, half 2 by -s."""
-    mask = (1 << half) - 1
-    t = half - s
-    return [
-        (w << s | (w & mask) >> t) & mask
-        | ((w >> (half + s) | (w >> half) << t) & mask) << half
-        for w in words
-    ]
-
-
-def _orbit(a: int, n: int) -> set[int]:
-    """The distinct images of a under sigma_s (s < 2n) and the complement.
-
-    sigma_s rotates half 1 by +s and half 2 by -s.  It is a coordinate
-    permutation that commutes with pi_a (the per-half rotation) and with
-    pi_b (the full reversal, which sends position i of half 1 to position
-    2n-1-i of half 2).  So it maps the word table of (a, b) index for index
-    onto the table of (sigma a, sigma b), which preserves the weights,
-    distinctness and the defining relations: hits map to hits.  sigma b is
-    derive_b_bits(sigma a) or its complement; b + u gives a^i (b + u) =
-    a^(i+2n) b, which shifts the b-indices by 2n and leaves the kernel's
-    iota (taken mod 2n) unchanged.  a + u = a^(2n+1) generates the same
-    codeword set (the word of (a + u)^i is that of a^i, plus u for odd i),
-    so it is a hit with the same kernel and iota.
-
-    In the structured family a2 = x^(iota+1) phi1(a1) + u, and phi1(x^s a1)
-    = x^(-s) phi1(a1), so derive_a2(rot(a1, s), iota) = rot(derive_a2(a1,
-    iota), -s) and derive_a2(a1 + u, iota) = derive_a2(a1, iota) + u: both
-    maps keep every iota family.  sigma_s sends kappa_vector(iota) to
-    itself (s even) or to its complement (s odd), and the kernel holds u,
-    so every image has the kernel of the same iota.
-    """
-    half = 2 * n
-    u = (1 << (2 * half)) - 1
-    return {w for s in range(half) for w in _sigma((a, a ^ u), s, half)}
-
-
 def _free(a2: int, half: int) -> bool:
     """Whether the row a2 is free: its class has 2 * half members.
 
     The class of a2 is its rotations and the rotations of its complement,
     at most 2 * half = 4n half-words.  In a free quotient row every hit a
-    is the least word of its orbit (_orbit), and the orbit has 4n words.
+    is the least word of its orbit (_expand), and the orbit has 4n words.
     The high half of sigma_s a, or of its complement, is rot(a2, -s) or
     its complement: over s < 2n these run through the class of a2, so the
     4n images have distinct high halves and are distinct.  Every image
@@ -228,7 +190,10 @@ def _free(a2: int, half: int) -> bool:
 
 
 def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
-    """The raw hits (n, image, b, iota, key), one per image in _orbit(a, n).
+    """The raw hits (n, image, b, iota, key), one per image of a.
+
+    The images of a are its orbit under sigma_s (s < 2n), which rotates
+    half 1 by +s and half 2 by -s, and the complement a -> a + u.
 
     (a, b) is a hit, b = derive_b_bits(a, n), and iota is structured_iota(a,
     n): the kernel K(C) of the hit's code C is {0, u, kappa, kappa + u},
@@ -238,11 +203,29 @@ def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
     the image.  Write sigma for sigma_s, u for the all-ones word, w(g) for
     the word of g and S_k = 1 + x + ... + x^(k-1).
 
+    S.  sigma maps hits to hits and keeps every iota family.  sigma is a
+        coordinate permutation that commutes with pi_a (the per-half
+        rotation) and with pi_b (the full reversal, which sends position i
+        of half 1 to position 2n-1-i of half 2).  So it maps the word table
+        of (a, b) index for index onto the table of (sigma a, sigma b),
+        which preserves the weights, distinctness and the defining
+        relations: hits map to hits.  sigma b is derive_b_bits(sigma a) or
+        its complement; b + u gives a^i (b + u) = a^(i+2n) b, which shifts
+        the b-indices by 2n and leaves the kernel's iota (taken mod 2n)
+        unchanged.  a + u = a^(2n+1) generates the same codeword set (the
+        word of (a + u)^i is that of a^i, plus u for odd i), so it is a hit
+        with the same kernel and iota.  In the structured family a2 =
+        x^(iota+1) phi1(a1) + u, and phi1(x^s a1) = x^(-s) phi1(a1), so
+        derive_a2(rot(a1, s), iota) = rot(derive_a2(a1, iota), -s) and
+        derive_a2(a1 + u, iota) = derive_a2(a1, iota) + u: both maps keep
+        every iota family.  sigma_s sends kappa_vector(iota) to itself (s
+        even) or to its complement (s odd), and the kernel holds u, so
+        every image has the kernel of the same iota.
     L1. derive_b_bits(a + u) = derive_b_bits(a).  phi(u_h) = u_h, so d1 =
         a1 + phi(a2) and d2 = a2 + phi(a1) do not change when both halves
         are complemented, and neither do q1, q2 or their pairing.
     L2. derive_b_bits(sigma a) is sigma b, or sigma b + u when bit 0 of
-        sigma b is set.  sigma commutes with pi_a and pi_b (see _orbit), so
+        sigma b is set.  sigma commutes with pi_a and pi_b (S), so
         sigma b solves the equations of sigma a; b is unique up to
         complement, and derive_b_bits returns the one with bit 0 clear.
     F3. The hits whose code is C are exactly a + K(C).  If C is linear
@@ -252,7 +235,7 @@ def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
             by a and by a' maps C onto C, so a + pi_a C = C = a' + pi_a C.
             So C + (a + a') = C, and a + a' is in K.
         (superset) pi_a C = C + a, so pi_a K = K.  If K = {0, u}, a + u =
-            w(a^(2n+1)) is a hit with code C (_orbit).  Else K = {0, u, z,
+            w(a^(2n+1)) is a hit with code C (S).  Else K = {0, u, z,
             z + u} and pi_a z is z or z + u.  pi_a z = z makes z constant
             on each half, u1||0 or 0||u2; then every c in C outside K has
             c + z in C, so wt(c) = wt(c + z) = 2n and c has half-weights
@@ -274,15 +257,15 @@ def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
             both gives beta1 = rev(beta2): beta is in {0, u} when kappa1 =
             kappa2, else in {kappa, kappa + u}.  So (a + kappa) + pi_a C =
             C and (b + beta) + pi_b C = C: the 8n words of a + kappa lie in
-            C, so its code is C, and so is that of a + kappa + u (_orbit).
+            C, so its code is C, and so is that of a + kappa + u (S).
         So two hits share a code iff they share a coset of K(C).
     Key. From n = 3 on, kappa = kappa_vector(iota) has bit 0 clear and bit
         1 set (its first half is the alternating v).  So a + K(C) has one
         member with bit 0 clear, and bit 1 clear too when kappa is in K(C):
         add u if bit 0 is set, then kappa if bit 1 is.  That member is the
-        key.  sigma maps C onto the code of sigma a (_orbit), so K(sigma C)
+        key.  sigma maps C onto the code of sigma a (S), so K(sigma C)
         = sigma K(C) = K(C): sigma fixes u and sends kappa to kappa or kappa
-        + u (_orbit).  So the key of an image comes from the image alone,
+        + u (S).  So the key of an image comes from the image alone,
         and an image and its complement share it.  At n <= 2 the key is the
         linear code itself, its word set.
     Orbit. sigma_s is sigma_1 applied s times.  Let p be the least s > 0
@@ -357,8 +340,8 @@ def _structured(n: int) -> Iterator[tuple[int, int, int]]:
     them: it only builds a2 and b = derive_b_bits(a), and a caller that
     stops at the first hit settles only the a1 before it.  Every other
     verified candidate of an iota family is an image of one yielded here
-    under _orbit.  For odd n >= 3 the family is empty (_settled), and
-    nothing is walked.
+    under sigma and the complement (_expand).  For odd n >= 3 the family
+    is empty (_settled), and nothing is walked.
     """
     half = 2 * n
     if n > 1 and n & 1:
@@ -476,9 +459,9 @@ def search_general(
     has dimension 2.  With a limit, only the images below it are kept.
     Each orbit is expanded from its least member, which is below the limit
     whenever any of its images is, and lies in a quotient row: every hit of
-    a free row (_free), and in any other row the hits that are least in
-    their _orbit.  The raw hits stream into the dedup, so memory holds one
-    entry per code, not every raw hit.
+    a free row (_free), and in any other row the hits that are least among
+    their images (_expand).  The raw hits stream into the dedup, so memory
+    holds one entry per code, not every raw hit.
     """
     stop = _stop(n, limit)
     half = 2 * n
@@ -488,10 +471,10 @@ def search_general(
         for covered, found in _general(n, stop):
             free = bool(found) and _free(found[0][0] >> half, half)
             for a_bits, b_bits in found:
-                if not (free or min(_orbit(a_bits, n)) == a_bits):
+                images = _expand(a_bits, b_bits, structured_iota(a_bits, n), n)
+                if not (free or min(h[1] for h in images) == a_bits):
                     continue
-                iota = structured_iota(a_bits, n)
-                kept = [h for h in _expand(a_bits, b_bits, iota, n) if h[1] < stop]
+                kept = [h for h in images if h[1] < stop]
                 raw += len(kept)
                 yield from kept
             if progress is not None:

@@ -28,6 +28,7 @@ from .typeq import (
     TypeQCode,
     VerificationError,
     build_matrix,
+    check_iota,
     derive_b,
     kappa_vector,
 )
@@ -103,9 +104,10 @@ def double_code(code: TypeQCode) -> TypeQCode:
 
     Rank: the paper proves that the maximal rank 2n doubles to 4n.
     Observed, not proved: the double has k = 2 and exactly twice the
-    input's rank on every code of search_k2(4), (6) and (8) and on the
-    example code's chain to length 768 (tests/test_transforms.py), all of
-    which have the maximal rank.
+    input's rank on every code of search_k2(4), (6) and (8), on the
+    example code's chain to length 768, all of maximal rank, and at the
+    non-maximal ranks 18, 20 and 22 of length 48 as well as at 24, on the
+    first structured candidate of each (tests/test_transforms.py).
     """
     n = code.n
     half = 2 * n
@@ -149,6 +151,7 @@ def rank_gcd_criterion(a1: int, iota: int, n: int) -> bool:
     converse is not asserted.  Requires a1 of odd weight.
     """
     _check_half(a1, n)
+    check_iota(iota, n)
     if a1.bit_count() % 2 == 0:
         raise ValueError("criterion requires a first half of odd weight")
     operand = rank_criterion_operand(a1, iota, n)
@@ -194,6 +197,7 @@ def double_gcd_check(a1: int, kappa1: int, iota: int, n: int) -> DoubleGcdCheck:
     """
     _check_half(a1, n)
     _check_half(kappa1, n)
+    check_iota(iota, n)
     gcd_small = poly_gcd(rank_criterion_operand(a1, iota, n), modulus_poly(2 * n))
     gcd_big = poly_gcd(
         doubled_criterion_operand(a1, kappa1, iota, n), modulus_poly(4 * n)

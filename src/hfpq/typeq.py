@@ -4,8 +4,9 @@ Hadamard matrix.
 A TypeQCode stores the generator words a and b of length 4n; the other
 8n - 2 codewords follow from the propelinear product with the canonical
 permutations (the word table, kernels_py.codeword_table).  verify_hfp
-checks a code's axioms on that table and verify_hadamard_group checks
-the Hadamard group conditions on a group table, beside the records they
+checks a code's axioms on a and b alone, without the table
+(kernels_py.first_violation), and verify_hadamard_group checks the
+Hadamard group conditions on a group table, beside the records they
 verify.  Coordinates are indexed by the codewords with a zero in the
 first position (the set D1): position i is indexed by the unique x in D1
 with e_1 = pi_x(e_i), which orders the first half by
@@ -20,8 +21,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import kernels
-from .core import BinaryWord, GroupElement, GroupTable
-from .gf2poly import Gf2Poly, reverse_bits
+from .core import BinaryWord, GroupTable
+from .gf2poly import Gf2Poly
 
 
 class NotTypeQCandidate(ValueError):
@@ -48,6 +49,16 @@ class Verdict(NamedTuple):
 
 
 PASS = Verdict(True)
+
+
+def check_iota(iota: int, n: int) -> None:
+    """Reject a kernel exponent outside [0, 2n).
+
+    TypeQCode and kappa_vector test the same range inline, without a call:
+    they run once per listed code and once per expanded search hit.
+    """
+    if not 0 <= iota < 2 * n:
+        raise ValueError(f"iota {iota} out of range [0, {2 * n})")
 
 
 # validated like core.BinaryWord: fields here, checks in the subclass
@@ -111,8 +122,7 @@ def derive_a2(a1: Gf2Poly, iota: int, n: int) -> Gf2Poly:
     """Second half from the first: a2(x) = x^(iota+1) phi1(a1(x)) + u(x)."""
     if a1.m != 2 * n:
         raise ValueError(f"expected modulus degree {2 * n}")
-    if not 0 <= iota < 2 * n:
-        raise ValueError(f"iota {iota} out of range [0, {2 * n})")
+    check_iota(iota, n)
     return Gf2Poly(kernels.derive_a2_bits(a1.coeffs, iota, n), 2 * n)
 
 
@@ -153,12 +163,17 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     """Propelinear + Hadamard verification of a type-Q candidate.
 
     Checks, in this order, the defining relations as words (a^(2n) = u,
-    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^(n-1).  Given
-    a^(2n) = u, wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the
-    half-profile lemma), so a, ..., a^(2n-1) all have weight 2n.  Given
-    the relations these imply weight 2n at every word outside {e, u} and
-    the distinctness of the 8n words, which make the code Hadamard (the
-    theorem and its proof are in the kernels_py module docstring).
+    b^2 = u, b a = a^-1 b) and weight 2n at a, ..., a^(n-1), and reports
+    the first that fails.  The checks read a and b alone
+    (kernels_py.first_violation): a^(2n) = u is the parity of the halves,
+    b^2 = u is b + rev(b) = u, and b a = a^-1 b is b + rev(a) = x^-1 (a +
+    b), because the word of a^(4n-1) b is x^-1 (a + b); the proofs are in
+    that docstring.  So no word table is built.  Given a^(2n) = u,
+    wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma),
+    so a, ..., a^(2n-1) all have weight 2n.  Given the relations these
+    imply weight 2n at every word outside {e, u} and the distinctness of
+    the 8n words, which make the code Hadamard (the theorem and its proof
+    are in the kernels_py module docstring).
 
     The permutation axioms depend on n alone, not on (a, b), so they are
     proved here once instead of checked per code.  Every pi_g is
@@ -173,24 +188,8 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     facts exhaustively for n <= 8, on the permutation objects of
     tests/oracles.py.
     """
-    n = code.n
-    length = code.length
-    u = (1 << length) - 1
-    words = codeword_ints(code)
-
-    if words[2 * n] != u:
-        return Verdict(False, "RelationViolation", "a^{2n} != u")
-    b = words[4 * n]
-    if b ^ reverse_bits(b, length) != u:
-        return Verdict(False, "RelationViolation", "b^2 != u")
-    if b ^ reverse_bits(words[1], length) != words[4 * n + (4 * n - 1)]:
-        return Verdict(False, "RelationViolation", "b a != a^{-1} b")
-
-    for i in range(1, n):
-        weight = words[i].bit_count()
-        if weight != 2 * n:
-            return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))
-    return PASS
+    found = kernels.first_violation(code.a_vec.bits, code.b_vec.bits, code.n)
+    return PASS if found is None else Verdict(False, *found)
 
 
 class HadamardMatrixQ(NamedTuple):

@@ -11,7 +11,9 @@ columns of the matrix and the column relabelling of the transpose
 right-hand side of the squared-factorization identity
 (against transforms.doubled_criterion_operand), and the class test and
 the profile table over every half-word (against search._quotient and
-search._profile_table).
+search._profile_table), the verifier that reads the word table (against
+typeq.verify_hfp, which reads a and b alone), and the orbit of a
+generator word as a set (against search._expand).
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from hfpq.analysis import (
 from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
 from hfpq.gf2poly import poly_mul, reverse_bits, rotl
 from hfpq.typeq import (
+    PASS,
     HadamardMatrixQ,
     TypeQCode,
+    Verdict,
     build_matrix,
     codeword_ints,
     d1_in_coordinate_order,
@@ -362,3 +366,52 @@ def profile_class_by_words(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
     for a1 in sorted(sum(1 << i for i in c) for c in combinations(range(2 * n), w)):
         table.setdefault(kernels.half_profile(a1, n), []).append(a1)
     return table
+
+
+def verify_hfp_on_table(code: TypeQCode) -> Verdict:
+    """typeq.verify_hfp read off the cached 8n-word table.
+
+    The same checks in the same order, on the table's words a^(2n), b,
+    a, a^(4n-1) b and a, ..., a^(n-1), with the same failures and
+    witnesses.
+    """
+    n = code.n
+    length = code.length
+    u = (1 << length) - 1
+    words = codeword_ints(code)
+
+    if words[2 * n] != u:
+        return Verdict(False, "RelationViolation", "a^{2n} != u")
+    b = words[4 * n]
+    if b ^ reverse_bits(b, length) != u:
+        return Verdict(False, "RelationViolation", "b^2 != u")
+    if b ^ reverse_bits(words[1], length) != words[4 * n + (4 * n - 1)]:
+        return Verdict(False, "RelationViolation", "b a != a^{-1} b")
+
+    for i in range(1, n):
+        weight = words[i].bit_count()
+        if weight != 2 * n:
+            return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))
+    return PASS
+
+
+def sigma(words: Iterable[int], s: int, half: int) -> list[int]:
+    """sigma_s of each word (0 <= s <= half): half 1 rotated by +s, half 2 by -s."""
+    mask = (1 << half) - 1
+    t = half - s
+    return [
+        (w << s | (w & mask) >> t) & mask
+        | ((w >> (half + s) | (w >> half) << t) & mask) << half
+        for w in words
+    ]
+
+
+def orbit(a: int, n: int) -> set[int]:
+    """The distinct images of a under sigma_s (s < 2n) and the complement.
+
+    The set that search._expand walks without one; the proof that the
+    images of a hit are hits is there.
+    """
+    half = 2 * n
+    u = (1 << (2 * half)) - 1
+    return {w for s in range(half) for w in sigma((a, a ^ u), s, half)}

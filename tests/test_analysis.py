@@ -34,6 +34,7 @@ from .oracles import (
     kernel_by_automorphism,
     rank_via_generators,
     rot_halves,
+    verify_hfp_on_table,
 )
 
 
@@ -140,11 +141,13 @@ def test_verify_hfp_finds_weight_witness():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_hfp_agrees_with_scan_predicate(n):
-    # For n <= 2 every (a, b) pair.  For n = 3, 4 every even-weight a with
-    # its derived b; for n = 3 also that b with one bit flipped (b^2 fails)
-    # and with a mirrored pair flipped (b^2 holds, so the b a = a^-1 b
-    # branch runs).  The word checks alone reach the scan's verdict, so no
-    # permutation axiom ever decides one.
+    # verify_hfp reads a and b alone; the reference reads the same checks
+    # off the 8n-word table.  Their whole Verdicts (ok, failure, witness)
+    # agree: for n <= 2 on every (a, b) pair; for n = 3, 4 on every
+    # even-weight a with its derived b; for n = 3 also on that b with one
+    # bit flipped (b^2 fails) and with a mirrored pair flipped (b^2 holds,
+    # so the b a = a^-1 b branch runs).  No permutation axiom ever decides
+    # a verdict.
     length = 4 * n
     for a in range(1 << length):
         if n <= 2:
@@ -159,8 +162,7 @@ def test_verify_hfp_agrees_with_scan_predicate(n):
                 bs += [b ^ (1 << i) ^ (1 << (length - 1 - i)) for i in range(2 * n)]
         for b_bits in bs:
             code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b_bits, length))
-            expected = kernels_py.check_candidate(a, b_bits, n) is not None
-            assert verify_hfp(code).ok == expected
+            assert verify_hfp(code) == verify_hfp_on_table(code)
 
 
 def test_analyze_rank_matches_all_words(

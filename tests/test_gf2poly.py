@@ -97,6 +97,18 @@ def test_add_modulus_mismatch():
         Gf2Poly(1 << 6, 6)
 
 
+@pytest.mark.parametrize("iota", [-1, 6, 99])
+def test_criteria_reject_iota_out_of_range(iota):
+    # iota is a kernel exponent in [0, 2n), checked as kappa_vector,
+    # derive_a2 and TypeQCode check it
+    with pytest.raises(ValueError, match="out of range"):
+        rank_gcd_criterion(0b000111, iota, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        double_gcd_check(0b000111, 0b101010, iota, 3)
+    rank_gcd_criterion(0b000111, 5, 3)
+    double_gcd_check(0b000111, 0b101010, 5, 3)
+
+
 def test_mul_mod_wraparound():
     m = 8
     assert _mul_mod(1 << 1, 1 << (m - 1), m) == 1

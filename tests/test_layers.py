@@ -29,6 +29,9 @@ ORACLE_ONLY = {
     "element",
     "u_element",
     "IDENTITY",
+    # the sigma action as a set, beside search._expand (oracles.orbit)
+    "_orbit",
+    "_sigma",
 }
 
 

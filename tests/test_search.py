@@ -20,7 +20,6 @@ from hfpq.search import (
     _free,
     _general,
     _necklaces,
-    _orbit,
     _profile_table,
     _quotient,
     _row_hits,
@@ -39,6 +38,7 @@ from .oracles import (
     canonical_perm,
     kernel_iota,
     least_in_class,
+    orbit,
     profile_class_by_words,
     prop_mul,
 )
@@ -335,7 +335,7 @@ def _structured_b_first(n):
 def _expand_structured(n):
     """Every (iota, a, b, words) reached from _structured by its orbits."""
     for iota, a_bits, _ in _structured(n):
-        for image in _orbit(a_bits, n):
+        for image in orbit(a_bits, n):
             b_bits = kernels.derive_b_bits(image, n)
             yield iota, image, b_bits, kernels.codeword_table(image, b_bits, n)
 
@@ -447,7 +447,7 @@ def _sigma_ref(w, s, n):
 
 # sigma_s is sigma_1 applied s times, sigma_1 commutes with the complement,
 # and the even-weight words and the raw hits are each closed under sigma_1.
-# So L2 of search._expand and the table map of search._orbit for s = 1 on
+# So L2 and the table map of S of search._expand for s = 1 on
 # every word of such a set give them for every s by induction: the
 # complements picked up at each step add up.
 
@@ -470,7 +470,7 @@ def test_derive_b_under_complement_and_sigma(n):
 
 
 def _assert_tables_follow_sigma(a, b, n, shifts):
-    # search._orbit, index by index, for the hit (a, b): sigma maps the
+    # S of search._expand, index by index, for the hit (a, b): sigma maps the
     # table of (a, b) onto that of (sigma a, sigma b), so the code of
     # sigma a is sigma C, and the key of search._expand rests on it.  With
     # sigma b + u in place of sigma b the a^i b half is rotated by 2n
@@ -509,13 +509,13 @@ def _quotient_hits(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_expand_yields_the_orbit(n):
-    # each image of _orbit exactly once, with one b and one key per pair
+    # each image of the orbit exactly once, with one b and one key per pair
     u = (1 << (4 * n)) - 1
     for a, b, iota in _quotient_hits(n):
         out = _expand(a, b, iota, n)
         images = [image for _, image, _, _, _ in out]
         assert len(images) == len(set(images))
-        assert set(images) == _orbit(a, n)
+        assert set(images) == orbit(a, n)
         assert all(hit[0] == n and hit[3] == iota for hit in out)
         for (_, x, bx, _, kx), (_, y, by, _, ky) in zip(out[::2], out[1::2]):
             assert y == x ^ u and by == bx and ky == kx
@@ -585,7 +585,7 @@ def test_free_rows_hold_only_orbit_least_hits(n):
     # the lemma of search._free, over every quotient row: in a free row
     # (a class of 4n half-words under rotation and complement) every hit is
     # the least of its orbit, and its orbit has 4n words; the other rows
-    # are few, and _orbit decides there
+    # are few, and the least of the images decides there
     half = 2 * n
     mask = (1 << half) - 1
     off_free = 0
@@ -598,8 +598,8 @@ def test_free_rows_hold_only_orbit_least_hits(n):
             off_free += len(found)
             continue
         for a, _ in found:
-            orbit = _orbit(a, n)
-            assert len(orbit) == 4 * n and min(orbit) == a
+            images = orbit(a, n)
+            assert len(images) == 4 * n and min(images) == a
     assert off_free == {3: 12, 4: 0, 5: 20, 6: 0, 7: 84}[n]
 
 

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from hfpq import transforms
+from hfpq import kernels, transforms, typeq
 from hfpq.analysis import (
     IndexingInconsistency,
     analyze,
+    code_iota,
     compute_kernel,
     kernel_from_iota,
+    span_rank,
     structured_iota,
 )
 from hfpq.core import BinaryWord
@@ -22,6 +24,7 @@ from hfpq.gf2poly import (
     reverse_bits,
     rotl,
 )
+from hfpq.search import _structured
 from hfpq.transforms import (
     double_code,
     double_gcd_check,
@@ -38,6 +41,7 @@ from hfpq.typeq import (
     codeword_set,
     kappa_vector,
     make_code,
+    verify_hfp,
 )
 
 from .oracles import (
@@ -255,7 +259,7 @@ def test_double_doubles_the_rank(golden, golden_chain, k2_hits, k2_hits_8):
     # every code of search_k2(4), (6) and (8), and the golden chain to
     # 768, doubles to k = 2 and exactly twice its rank.  All of them have
     # the maximal rank 2n, where the paper proves it; the non-maximal ranks
-    # first occur at length 48, outside search_k2(n <= 8)
+    # first occur at length 48 (test_double_doubles_non_maximal_ranks)
     sources = [golden] + [doubled for doubled, _ in golden_chain]
     for code in k2_hits[4] + k2_hits[6] + k2_hits_8 + sources:
         rank = analyze(code).rank
@@ -263,6 +267,62 @@ def test_double_doubles_the_rank(golden, golden_chain, k2_hits, k2_hits_8):
         doubled = analyze(double_code(code))
         assert doubled.kernel_dim == 2
         assert doubled.rank == 2 * rank
+
+
+# the first candidate of search._structured(12) at each rank, all at iota 0
+FIRST_K2_OF_RANK_48 = {
+    18: "100100110101000100000000011111111011101010011011",
+    20: "100110101000100100000000011111111011011101010011",
+    22: "101011010111000100000000011111111011100010100101",
+    24: "110101010001000100000000011111111011101110101010",
+}
+
+
+def test_double_doubles_non_maximal_ranks():
+    # length 48 is the first length past 32 with ranks below 2n; the double
+    # of each rank's first structured candidate has k = 2 and twice its rank
+    first = {}
+    for _, a_bits, b_bits in _structured(12):
+        rank = span_rank(a_bits, b_bits, 12)
+        first.setdefault(rank, BinaryWord(a_bits, 48).to_string())
+        if len(first) == len(FIRST_K2_OF_RANK_48):
+            break
+    assert first == FIRST_K2_OF_RANK_48
+    for rank, a_string in FIRST_K2_OF_RANK_48.items():
+        code = make_code(12, BinaryWord.from_string(a_string), 0)
+        report = analyze(code)
+        assert (report.rank, report.kernel_dim) == (rank, 2)
+        doubled = analyze(double_code(code))
+        assert doubled.kernel_dim == 2
+        assert doubled.rank == 2 * rank
+
+
+def _count_tables(monkeypatch) -> list[int]:
+    # every word table a code gets goes through typeq's cache into
+    # kernels.codeword_table; cleared, so a cached table hides no call
+    typeq._codeword_ints.cache_clear()
+    calls = []
+    original = kernels.codeword_table
+
+    def counted(a, b, n):
+        calls.append(1)
+        return original(a, b, n)
+
+    monkeypatch.setattr(kernels, "codeword_table", counted)
+    return calls
+
+
+def test_verified_codes_build_no_word_table(golden, k2_hits_8, monkeypatch):
+    # verify_hfp reads a and b alone, so the paths of a verified code with
+    # n >= 3 build no table; the transpose builds the input's, for its matrix
+    calls = _count_tables(monkeypatch)
+    for code in (golden, k2_hits_8[0]):
+        for step in (verify_hfp, analyze, code_iota, double_code):
+            step(code)
+            assert calls == [], step
+        transpose_code(code)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_rank_criterion_reference(golden):
