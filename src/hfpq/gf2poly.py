@@ -3,7 +3,8 @@
 A plain polynomial is any int >= 0.  A residue mod x^m - 1 is an int
 below 1 << m, read as a coefficient string of width m: multiplying by x^k
 rotates it (rotl), the reversal x^(m-1) p(1/x) reverses it (reverse_bits),
-and p(x^2) + x q(x^2) interleaves two strings (interleave).  Gf2Poly is
+p(x^2) + x q(x^2) interleaves two strings (interleave), and the running
+parity (prefix_xor) divides by x + 1 (div_x_plus_1).  Gf2Poly is
 the validated record of a residue that typeq.derive_a2 takes and returns.
 """
 
@@ -38,19 +39,33 @@ def interleave(even: int, odd: int, width: int) -> int:
     return int("".join(o + e for o, e in pairs), 2)
 
 
+def prefix_xor(x: int, width: int) -> int:
+    """Running parity: bit i of the result is the XOR of bits 0..i of x.
+
+    Reads only the low width bits of x: every step shifts upward.  After
+    the step with shift s, bit i holds the XOR of bits i-2s+1..i, so
+    ceil(log2(width)) doublings cover every prefix; each is one shift and
+    one XOR of the whole int.
+    """
+    shift = 1
+    while shift < width:
+        x ^= x << shift
+        shift <<= 1
+    return x & (1 << width) - 1
+
+
 def div_x_plus_1(p: int, width: int) -> int:
     """Quotient q with (x+1)*q == p mod x^width - 1, constant term of q = 0.
 
     Requires p of even weight; the other solution is q xor all-ones.
+    Coefficient i > 0 of (x+1) q is q_i + q_(i-1), so q_i = p_1 + ... +
+    p_i: the running parity of p without its constant term.  Coefficient
+    0 is q_0 + q_(width-1) = p_1 + ... + p_(width-1), which is p_0 because
+    the weight is even.
     """
     if p.bit_count() & 1:
         raise ValueError("polynomial of odd weight is not divisible by x+1")
-    q = 0
-    acc = 0
-    for i in range(1, width):
-        acc ^= (p >> i) & 1
-        q |= acc << i
-    return q
+    return prefix_xor(p & ~1, width)
 
 
 def poly_degree(p: int) -> int:

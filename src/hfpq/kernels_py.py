@@ -203,30 +203,27 @@ def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
 def derive_b_bits(a: int, n: int) -> int | None:
     """The b word determined by a, first bit 0; None exactly when wt(a) is odd.
 
-    Solves (x+1) b_i = a_i + x * rev(a_{i'}) per half and fixes the pairing
-    of half-quotients by b^2 = u; the other valid b is the complement.
+    Solves (x+1) b1 = a1 + x * rev(a2) for the first half, and takes the
+    second half that b^2 = u pairs with it; the other valid b is the
+    complement.
 
-    With phi(p)(x) = p(x^-1) we have x * rev(p) = phi(p), so d1 = a1 +
-    phi(a2) and d2 = phi(d1).  The division by x+1 is exact iff wt(d1) is
-    even, and wt(d1) = wt(a) mod 2.  Applying phi to (x+1) q1 = d1 shows
-    that x^-1 phi(q1) = rev(q1) solves (x+1) q = d2, whose solutions are
-    q2 and q2 + u; so rev(q2) is q1 or q1 + u and a pairing always exists.
+    With phi(p)(x) = p(x^-1) we have x * rev(p) = phi(p), so the equations
+    per half are (x+1) b1 = d1 = a1 + phi(a2) and (x+1) b2 = d2 = a2 +
+    phi(a1) = phi(d1).  The division by x+1 is exact iff wt(d1) is even,
+    and wt(d1) = wt(a) mod 2.  b^2 = u reads b1 + rev(b2) = u, so b2 =
+    rev(q1) + u for b1 = q1.  Applying phi to (x+1) q1 = d1 gives (x^-1 +
+    1) phi(q1) = d2, that is (x+1) rev(q1) = d2 since rev(q1) = x^-1
+    phi(q1); so rev(q1) + u solves the second equation too, and one
+    division serves both halves.
     """
     half = 2 * n
     mask = (1 << half) - 1
-    a1 = a & mask
-    a2 = a >> half
-    r2 = reverse_bits(a2, half)
-    d1 = a1 ^ (((r2 << 1) | (r2 >> (half - 1))) & mask)
+    r2 = reverse_bits(a >> half, half)
+    d1 = (a & mask) ^ (((r2 << 1) | (r2 >> (half - 1))) & mask)
     if d1.bit_count() & 1:
         return None
-    r1 = reverse_bits(a1, half)
-    d2 = a2 ^ (((r1 << 1) | (r1 >> (half - 1))) & mask)
     q1 = div_x_plus_1(d1, half)
-    q2 = div_x_plus_1(d2, half)
-    if q1 == reverse_bits(q2, half):
-        q2 ^= mask
-    return q1 | (q2 << half)
+    return q1 | (reverse_bits(q1, half) ^ mask) << half
 
 
 def check_candidate(a: int, b: int, n: int) -> tuple[int, ...] | None:

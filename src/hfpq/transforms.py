@@ -2,7 +2,9 @@
 
 The transpose code is read off two columns of the normalized Hadamard
 matrix: column 1 is its generator a, and column 4n-1 checks its b (the
-proof that these decide every column is in transpose_code).  Doubling
+proof that these decide every column is in transpose_code).  Both
+columns come from (a, b) by window parity (gf2poly.prefix_xor), without
+the matrix or the word table.  Doubling
 interleaves the generator with the kernel generator, A_i(x) = a_i(x^2) +
 x kappa_i(x^2), sending length 4n, kernel dimension 2 to length 8n,
 kernel dimension 2 (exponent 2 iota).
@@ -20,35 +22,56 @@ from .gf2poly import (
     modulus_poly,
     poly_divmod,
     poly_gcd,
+    prefix_xor,
     reverse_bits,
     rotl,
 )
 from .typeq import (
     NotTypeQCandidate,
     TypeQCode,
-    VerificationError,
-    build_matrix,
     check_iota,
     derive_b,
     kappa_vector,
+    require_verified,
 )
 
 
-def _column(rows: tuple[int, ...], j: int) -> int:
-    """Column j of the matrix with these rows: bit i is bit j of rows[i]."""
-    bit = 1 << j
-    return int("".join("1" if row & bit else "0" for row in reversed(rows)), 2)
+def _window_column(a: int, b: int, p: int, half: int) -> int:
+    """Column (h, p) of the rows w(a^i), w(a^(i+1) b), before normalizing.
+
+    a and b hold half h of each generator in their low half bits.  Bit i
+    < 2n is bit p of half h of w(a^i), bit 2n + i that of w(a^(i+1) b).
+    """
+    parity = prefix_xor(rotl(reverse_bits(a, half), p + 1, half), half)
+    low = parity << 1 & (1 << half) - 1
+    return low | (parity ^ rotl(reverse_bits(b, half), p, half)) << half
+
+
+def _transposed_generators(a: int, b: int, n: int) -> tuple[int, int]:
+    """Columns 1 and 4n-1 of H, rows in transpose_code's order, read off (a, b).
+
+    Requires a^(2n) = u, both halves of a odd: only then is w(a^(i+2n))
+    the complement of w(a^i), so that normalizing the words gives H's rows
+    (proof in transpose_code).
+    """
+    half = 2 * n
+    q_ref = _window_column(a, b, 0, half)
+    return (
+        _window_column(a, b, 1, half) ^ q_ref,
+        _window_column(a >> half, b >> half, half - 1, half) ^ q_ref,
+    )
 
 
 def transpose_code(code: TypeQCode) -> TypeQCode:
     """Code of the transposed matrix; codewords are the columns of H.
 
-    Reads two columns of H, not all 4n.  The rows are taken in the order
-    e, a, ..., a^(2n-1), ab, ..., a^(2n) b (row -i mod 2n of H at
-    position i in the first half), so the columns come out in canonical
-    coordinate order.  The generator a' is column 1; b' is derived from
-    a' and the new code verified; column 4n-1 must be b' or b' + u.  iota
-    is read off a' (structured_iota).
+    Reads two columns of H, not all 4n, and reads them off (a, b) without
+    building H.  The rows are taken in the order e, a, ..., a^(2n-1), ab,
+    ..., a^(2n) b (row -i mod 2n of H at position i in the first half), so
+    the columns come out in canonical coordinate order.  The generator a'
+    is column 1; b' is derived from a' and the new code verified; column
+    4n-1 must be b' or b' + u.  iota is read off a' (structured_iota).  A
+    code that fails verify_hfp raises VerificationError.
 
     Why two columns decide all of them.  Row x and column y of H (both
     labelled in D1) meet in gamma(yx), the first bit of the word of yx.  So
@@ -68,15 +91,35 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
     plus the column-(4n-1) test imply that its codeword set is exactly the
     columns plus complements; that O(L^2) comparison runs in
     tests/oracles.py (column_code), not here.
+
+    Both columns by window parity (_transposed_generators).  Assume a^(2n)
+    = u, which holds exactly when both halves of a are odd (the parity
+    lemma of kernels_py).  The word of a^(i+2n) is S_(i+2n) a = S_i a +
+    x^i S_(2n) a = w(a^i) + u, and likewise w(a^(i+2n) b) = w(a^i b) + u;
+    so the representative in D1 of a^(i-2n) or a^(i+1) b has as its word
+    w(a^i) or w(a^(i+1) b), normalized: u added when bit 0 is set.  Row i
+    < 2n of the order above is the normalized w(a^i), row 2n + i the
+    normalized w(a^(i+1) b), and bit j of a normalized row is bit j of the
+    word plus its bit 0.  So column j is the column of the raw words plus
+    the raw column at bit 0 (q_ref).  Without a^(2n) = u the two words
+    are not complements, and the rows are not these.  Half h of w(a^k) is
+    S_k a_h, so its bit p is the parity of the cyclic window a_h[p],
+    a_h[p-1], ..., a_h[p-k+1]: bit k-1 of prefix_xor(rotl(rev(a_h), p +
+    1)), which has a_h[p-m] at bit m.  w(a^k b) adds x^k b, whose bit
+    (h, p) is b_h[p-k]: bit k-1 of rotl(rev(b_h), p).  Column 1 is (h, p)
+    = (1, 1), column 4n-1 is (2, 2n-1), and bit 0 is (1, 0).  Each column
+    is O(log L) operations on L-bit ints.  tests/test_transforms.py checks
+    the two columns against the columns of the table's rows on every pair
+    (a, b) with both halves of a odd at n <= 2 and on random such pairs up
+    to n = 12, and against the matrix's on every code the transpose tests
+    use.
     """
-    matrix = build_matrix(code)
     n = code.n
-    half = 2 * n
+    require_verified(code)
     length = 4 * n
     u = (1 << length) - 1
-    rows = matrix.rows
-    flipped = rows[:1] + rows[half - 1 : 0 : -1] + rows[half:]
-    new_a = BinaryWord(_column(flipped, 1), length)
+    col_a, col_b = _transposed_generators(code.a_vec.bits, code.b_vec.bits, n)
+    new_a = BinaryWord(col_a, length)
     try:
         new_b = derive_b(new_a, n)
     except NotTypeQCandidate as exc:
@@ -87,7 +130,7 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
         raise IndexingInconsistency(
             f"transpose failed verification: {verdict.failure}"
         )
-    if _column(flipped, length - 1) not in (new_b.bits, new_b.bits ^ u):
+    if col_b not in (new_b.bits, new_b.bits ^ u):
         raise IndexingInconsistency("column 4n-1 of H is not the transpose's b")
     return out._replace(iota=structured_iota(new_a.bits, n))
 
@@ -111,9 +154,7 @@ def double_code(code: TypeQCode) -> TypeQCode:
     """
     n = code.n
     half = 2 * n
-    verdict = verify_hfp(code)
-    if not verdict.ok:
-        raise VerificationError(f"{verdict.failure}: {verdict.witness}")
+    require_verified(code)
     iota = structured_iota(code.a_vec.bits, n)
     if iota is None:
         raise ValueError("doubling requires a kernel of dimension 2")

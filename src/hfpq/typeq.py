@@ -192,6 +192,13 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     return PASS if found is None else Verdict(False, *found)
 
 
+def require_verified(code: TypeQCode) -> None:
+    """Raise VerificationError("failure: witness") unless verify_hfp passes."""
+    verdict = verify_hfp(code)
+    if not verdict.ok:
+        raise VerificationError(f"{verdict.failure}: {verdict.witness}")
+
+
 class HadamardMatrixQ(NamedTuple):
     """Normalized binary Hadamard matrix of a verified type-Q code."""
 
@@ -204,9 +211,7 @@ class HadamardMatrixQ(NamedTuple):
 
 def build_matrix(code: TypeQCode) -> HadamardMatrixQ:
     """Rows are the words of the D1 representatives, in coordinate order."""
-    verdict = verify_hfp(code)
-    if not verdict.ok:
-        raise VerificationError(f"{verdict.failure}: {verdict.witness}")
+    require_verified(code)
     words = codeword_ints(code)
     order = d1_in_coordinate_order(code)
     rows = tuple(words[i] for i in order)

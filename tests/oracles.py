@@ -5,15 +5,18 @@ type-Q group's inverses and powers and its canonical permutations pi_g
 (against the word table, kernels_py.codeword_table), the word and the
 matrix entry of a group element (against typeq.build_matrix), the rank by
 elimination (against analysis.span_rank), the kernel by filtering the
-word table and by automorphisms (against analysis.structured_iota), all
-columns of the matrix and the column relabelling of the transpose
-(against transforms.transpose_code, which reads two columns), the
-right-hand side of the squared-factorization identity
-(against transforms.doubled_criterion_operand), and the class test and
-the profile table over every half-word (against search._quotient and
+word table and by automorphisms (against analysis.structured_iota), the
+matrix's columns, all at once or one at a time, and the column
+relabelling of the transpose (against transforms.transpose_code, which
+reads two columns off a and b), the right-hand side of the
+squared-factorization identity (against
+transforms.doubled_criterion_operand), the class test and the profile
+table over every half-word (against search._quotient and
 search._profile_table), the verifier that reads the word table (against
-typeq.verify_hfp, which reads a and b alone), and the orbit of a
-generator word as a set (against search._expand).
+typeq.verify_hfp, which reads a and b alone), the orbit of a generator
+word as a set (against search._expand), the division by x + 1 one bit
+at a time (against gf2poly.div_x_plus_1), and b derived with one
+division per half (against kernels_py.derive_b_bits, which divides once).
 """
 
 from __future__ import annotations
@@ -318,16 +321,32 @@ def transposed_rows(matrix: HadamardMatrixQ) -> tuple[int, ...]:
     return tuple(int(s[j::order], 2) for j in range(order))
 
 
-def flipped_columns(code: TypeQCode) -> tuple[int, ...]:
-    """All 4n columns of H with the rows in transpose_code's order.
+def column(rows: tuple[int, ...], j: int) -> int:
+    """Column j of the matrix with these rows: bit i is bit j of rows[i]."""
+    bit = 1 << j
+    return int("".join("1" if row & bit else "0" for row in reversed(rows)), 2)
 
-    The rows are taken as e, a, ..., a^(2n-1), ab, ..., a^(2n) b, which
-    puts the columns in canonical coordinate order.
+
+def flip_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """H's rows in transpose_code's order: e, a, ..., a^(2n-1), ab, ..., a^(2n) b.
+
+    H lists the first half as e, a^-1, ..., a^-(2n-1); reversing all but
+    row e puts the columns in canonical coordinate order.
     """
-    half = 2 * code.n
-    rows = build_matrix(code).rows
-    flipped = rows[:1] + rows[half - 1 : 0 : -1] + rows[half:]
-    return transposed_rows(HadamardMatrixQ(code.length, flipped))
+    half = 2 * n
+    return rows[:1] + rows[half - 1 : 0 : -1] + rows[half:]
+
+
+def flipped_columns(code: TypeQCode) -> tuple[int, ...]:
+    """All 4n columns of H with the rows in transpose_code's order."""
+    rows = flip_rows(build_matrix(code).rows, code.n)
+    return transposed_rows(HadamardMatrixQ(code.length, rows))
+
+
+def table_rows(code: TypeQCode) -> tuple[int, ...]:
+    """build_matrix's rows, read off the word table without verification."""
+    words = codeword_ints(code)
+    return tuple(words[i] for i in d1_in_coordinate_order(code))
 
 
 def column_code(code: TypeQCode) -> frozenset[int]:
@@ -393,6 +412,44 @@ def verify_hfp_on_table(code: TypeQCode) -> Verdict:
         if weight != 2 * n:
             return Verdict(False, "WeightViolation", (GroupElement(i, False), weight))
     return PASS
+
+
+def div_x_plus_1_by_bit(p: int, width: int) -> int:
+    """Quotient q with (x+1)*q == p mod x^width - 1, constant term of q = 0.
+
+    Requires p of even weight; the other solution is q xor all-ones.
+    """
+    if p.bit_count() & 1:
+        raise ValueError("polynomial of odd weight is not divisible by x+1")
+    q = 0
+    acc = 0
+    for i in range(1, width):
+        acc ^= (p >> i) & 1
+        q |= acc << i
+    return q
+
+
+def derive_b_by_two_quotients(a: int, n: int) -> int | None:
+    """kernels_py.derive_b_bits dividing both halves by x+1, one bit at a time.
+
+    Each half-quotient is found on its own; the second is then
+    complemented when rev(q2) = q1, since b^2 = u needs q1 + rev(q2) = u.
+    """
+    half = 2 * n
+    mask = (1 << half) - 1
+    a1 = a & mask
+    a2 = a >> half
+    r2 = reverse_bits(a2, half)
+    d1 = a1 ^ (((r2 << 1) | (r2 >> (half - 1))) & mask)
+    if d1.bit_count() & 1:
+        return None
+    r1 = reverse_bits(a1, half)
+    d2 = a2 ^ (((r1 << 1) | (r1 >> (half - 1))) & mask)
+    q1 = div_x_plus_1_by_bit(d1, half)
+    q2 = div_x_plus_1_by_bit(d2, half)
+    if q1 == reverse_bits(q2, half):
+        q2 ^= mask
+    return q1 | (q2 << half)
 
 
 def sigma(words: Iterable[int], s: int, half: int) -> list[int]:

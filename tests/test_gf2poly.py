@@ -16,10 +16,13 @@ from hfpq.gf2poly import (
     poly_gcd,
     poly_mod,
     poly_mul,
+    prefix_xor,
     reverse_bits,
     rotl,
 )
 from hfpq.transforms import double_gcd_check, rank_gcd_criterion
+
+from .oracles import div_x_plus_1_by_bit
 
 _X = sympy.symbols("x")
 
@@ -225,6 +228,52 @@ def test_div_exact_remultiplication_roundtrip():
             assert q & 1 == 0
             assert _mul_mod(X_PLUS_1, q, m) == p
             assert _mul_mod(X_PLUS_1, q ^ u, m) == p
+
+
+def _prefix_xor_by_bit(x: int, width: int) -> int:
+    out = acc = 0
+    for i in range(width):
+        acc ^= (x >> i) & 1
+        out |= acc << i
+    return out
+
+
+# widths about the 30- and 60-bit digits of CPython ints, and up to 3072
+WIDE = (29, 30, 31, 59, 60, 61, 89, 90, 91, 119, 120, 121, 384, 1536, 3071, 3072)
+
+
+def test_prefix_xor_against_bit_loop():
+    # every x at widths 1..10 (with one junk bit above the width), then
+    # random x with junk above the width
+    for width in range(1, 11):
+        for x in range(1 << (width + 1)):
+            assert prefix_xor(x, width) == _prefix_xor_by_bit(x, width)
+    rng = random.Random(31)
+    for width in WIDE:
+        for _ in range(8):
+            x = rng.getrandbits(width + 5)
+            assert prefix_xor(x, width) == _prefix_xor_by_bit(x, width)
+
+
+def _even(p: int, width: int, rng: random.Random) -> int:
+    """p with one bit above bit 0 toggled when its weight is odd."""
+    return p ^ ((p.bit_count() & 1) << rng.randrange(1, width))
+
+
+def test_div_x_plus_1_against_bit_loop():
+    # every even-weight p at widths 1..12, then random even-weight p
+    for width in range(1, 13):
+        for p in range(1 << width):
+            if p.bit_count() % 2 == 0:
+                assert div_x_plus_1(p, width) == div_x_plus_1_by_bit(p, width)
+    rng = random.Random(37)
+    for width in WIDE:
+        for _ in range(8):
+            p = _even(rng.getrandbits(width), width, rng)
+            assert div_x_plus_1(p, width) == div_x_plus_1_by_bit(p, width)
+            # the constant term is dropped, not carried into the running parity
+            p = _even(rng.getrandbits(width) | 1, width, rng)
+            assert div_x_plus_1(p, width) == div_x_plus_1_by_bit(p, width)
 
 
 def test_phi1_definition_and_involution():

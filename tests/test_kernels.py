@@ -10,7 +10,7 @@ from hfpq.core import BinaryWord, GroupElement
 from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul, reverse_bits, rotl
 from hfpq.typeq import TypeQCode, verify_hfp
 
-from .oracles import canonical_perm, prop_mul, rot_halves
+from .oracles import canonical_perm, derive_b_by_two_quotients, prop_mul, rot_halves
 
 
 def test_codeword_table_matches_perm_objects(golden):
@@ -52,6 +52,19 @@ def test_check_candidate_accepts_valid_64bit_code():
     words = kernels_py.check_candidate(a, b, 16)
     assert words is not None
     assert words == kernels_py.codeword_table(a, b, 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derive_b_bits_matches_two_quotients(n):
+    # every a at n <= 4, then random a up to length 6144: the second half
+    # read off the first's quotient equals the second half's own quotient
+    for a in range(1 << (4 * n)):
+        assert kernels_py.derive_b_bits(a, n) == derive_b_by_two_quotients(a, n)
+    rng = random.Random(n)
+    for big in (8, 15, 16, 96, 1536):
+        for _ in range(10):
+            a = rng.getrandbits(4 * big)
+            assert kernels_py.derive_b_bits(a, big) == derive_b_by_two_quotients(a, big)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

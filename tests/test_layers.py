@@ -32,6 +32,8 @@ ORACLE_ONLY = {
     # the sigma action as a set, beside search._expand (oracles.orbit)
     "_orbit",
     "_sigma",
+    # a column of given rows, one bit per row (oracles.column)
+    "_column",
 }
 
 

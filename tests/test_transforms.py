@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -35,6 +36,7 @@ from hfpq.transforms import (
 )
 from hfpq.typeq import (
     TypeQCode,
+    VerificationError,
     all_codewords,
     build_matrix,
     codeword_ints,
@@ -45,10 +47,13 @@ from hfpq.typeq import (
 )
 
 from .oracles import (
+    column,
     column_code,
+    flip_rows,
     flipped_columns,
     kernel_iota,
     squared_factorization,
+    table_rows,
     transpose_relabel,
     transposed_rows,
 )
@@ -142,17 +147,108 @@ def test_transpose_catches_the_unflipped_row_order(golden, general_hits, k2_hits
     # H's rows in their own order give a column 1 that still verifies at
     # every one of these codes, but then column 4n-1 is not its b: only
     # the b-column test raises
-    real = transforms.build_matrix
+    def unflipped(a, b, n):
+        length = 4 * n
+        code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b, length))
+        columns = transposed_rows(build_matrix(code))
+        return columns[1], columns[length - 1]
 
-    def preflipped(code):
-        matrix = real(code)
-        rows, half = matrix.rows, 2 * code.n
-        return matrix._replace(rows=rows[:1] + rows[half - 1 : 0 : -1] + rows[half:])
-
-    monkeypatch.setattr(transforms, "build_matrix", preflipped)
+    monkeypatch.setattr(transforms, "_transposed_generators", unflipped)
     for code in [golden] + general_hits[4] + k2_hits[4]:
         with pytest.raises(IndexingInconsistency, match="column 4n-1"):
             transpose_code(code)
+
+
+def _table_columns(a: int, b: int, n: int) -> tuple[int, int]:
+    # columns 1 and 4n-1 of the matrix rows read off the word table in
+    # d1_in_coordinate_order, flipped as the transpose takes them; no
+    # verification, so any pair (a, b) has them
+    length = 4 * n
+    code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b, length))
+    rows = flip_rows(table_rows(code), n)
+    return column(rows, 1), column(rows, length - 1)
+
+
+def _odd_halves(n: int) -> list[int]:
+    half = 2 * n
+    odd = [h for h in range(1 << half) if h.bit_count() & 1]
+    return [a1 | a2 << half for a2 in odd for a1 in odd]
+
+
+def test_transposed_generators_on_codes(column_oracle_codes):
+    # the closed form against the matrix's flipped columns on every code the
+    # transpose tests use
+    for code in column_oracle_codes:
+        cols = flipped_columns(code)
+        assert transforms._transposed_generators(
+            code.a_vec.bits, code.b_vec.bits, code.n
+        ) == (cols[1], cols[code.length - 1])
+
+
+def test_transposed_generators_on_every_odd_pair():
+    # every (a, b) at n <= 2 with both halves of a odd (64 + 16,384 pairs),
+    # codes or not: a^(2n) = u is all the closed form needs
+    for n in (1, 2):
+        for a in _odd_halves(n):
+            for b in range(1 << (4 * n)):
+                assert transforms._transposed_generators(a, b, n) == _table_columns(
+                    a, b, n
+                )
+
+
+def test_transposed_generators_need_odd_halves():
+    # with a half of a even, w(a^(i+2n)) is not the complement of w(a^i), the
+    # table's rows are not normalized, and the closed form reads other columns
+    n = 2
+    odd = set(_odd_halves(n))
+    mismatches = sum(
+        transforms._transposed_generators(a, b, n) != _table_columns(a, b, n)
+        for a in range(1 << (4 * n))
+        if a not in odd
+        for b in range(0, 1 << (4 * n), 17)
+    )
+    assert mismatches > 0
+
+
+def test_transposed_generators_on_random_odd_pairs():
+    rng = random.Random(24)
+    for n in range(3, 13):
+        half = 2 * n
+        for _ in range(40):
+            a1, a2 = rng.getrandbits(half) | 1, rng.getrandbits(half) | 1
+            # toggle one bit above bit 0 when the weight is even
+            a1 ^= (a1.bit_count() & 1 ^ 1) << rng.randrange(1, half)
+            a2 ^= (a2.bit_count() & 1 ^ 1) << rng.randrange(1, half)
+            a = a1 | a2 << half
+            b = rng.getrandbits(2 * half)
+            assert transforms._transposed_generators(a, b, n) == _table_columns(
+                a, b, n
+            )
+
+
+def _unverified(golden):
+    # one bit of a flipped (a^(2n) != u), one bit of b flipped (b^2 != u),
+    # and the mirrored bits 11 and 12 of b flipped, which keeps b^2 = u
+    # (b a != a^-1 b)
+    length = golden.length
+    return [
+        golden._replace(a_vec=BinaryWord(golden.a_vec.bits ^ 1 << 5, length)),
+        golden._replace(b_vec=BinaryWord(golden.b_vec.bits ^ 1 << 3, length)),
+        golden._replace(b_vec=BinaryWord(golden.b_vec.bits ^ 0b11 << 11, length)),
+    ]
+
+
+@pytest.mark.parametrize("transform", [transpose_code, double_code])
+def test_transforms_reject_unverified_codes(golden, transform):
+    failures = set()
+    for code in _unverified(golden):
+        verdict = verify_hfp(code)
+        assert not verdict.ok
+        failures.add(verdict.witness)
+        with pytest.raises(VerificationError) as info:
+            transform(code)
+        assert str(info.value) == f"{verdict.failure}: {verdict.witness}"
+    assert len(failures) == 3
 
 
 def test_f5_on_golden_chain(golden, golden_chain):
@@ -313,16 +409,13 @@ def _count_tables(monkeypatch) -> list[int]:
 
 
 def test_verified_codes_build_no_word_table(golden, k2_hits_8, monkeypatch):
-    # verify_hfp reads a and b alone, so the paths of a verified code with
-    # n >= 3 build no table; the transpose builds the input's, for its matrix
+    # verify_hfp reads a and b alone, and the transpose reads its two columns
+    # off a and b, so the paths of a verified code with n >= 3 build no table
     calls = _count_tables(monkeypatch)
     for code in (golden, k2_hits_8[0]):
-        for step in (verify_hfp, analyze, code_iota, double_code):
+        for step in (verify_hfp, analyze, code_iota, double_code, transpose_code):
             step(code)
             assert calls == [], step
-        transpose_code(code)
-        assert len(calls) == 1
-        calls.clear()
 
 
 def test_rank_criterion_reference(golden):
