@@ -8,6 +8,7 @@ Code file format (ASCII, newline-terminated, bit position 1 leftmost):
     b=010101110000111100010101
     iota=11
 
+n and iota are ASCII decimal digits, with no sign, space or underscore.
 b and iota are optional; b is re-derived and cross-checked when present,
 and iota is cross-checked against the exponent read off the code's kernel.
 Exit codes: 0 success, 1 mathematical verification failure, 2 parse error,
@@ -78,11 +79,11 @@ def parse_code_file(text: str) -> CodeFile:
         fields[key] = (value, lineno)
 
     def _int_field(key: str) -> tuple[int, int]:
+        # ASCII digits only: int() would also take a sign, spaces and "_"
         value, lineno = fields[key]
-        try:
-            return int(value), lineno
-        except ValueError:
-            raise CodeFileError(f"{key} is not an integer", lineno) from None
+        if not (value.isascii() and value.isdigit()):
+            raise CodeFileError(f"{key} is not a decimal integer", lineno, len(key) + 2)
+        return int(value), lineno
 
     if "n" not in fields:
         raise CodeFileError("missing n", len(lines))
@@ -198,14 +199,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if report.is_hfp else 1
 
 
-def cmd_transpose(args: argparse.Namespace) -> int:
-    out = transpose_code(load_code(args.path))
-    _write_output(format_code_file(out), args.output)
-    return 0
-
-
-def cmd_double(args: argparse.Namespace) -> int:
-    out = double_code(load_code(args.path))
+def cmd_transform(args: argparse.Namespace) -> int:
+    out = args.transform(load_code(args.path))
     _write_output(format_code_file(out), args.output)
     return 0
 
@@ -290,15 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("transpose", help="code of the transposed matrix")
-    p.add_argument("path")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_transpose)
-
-    p = sub.add_parser("double", help="doubling construction (kernel dim 2)")
-    p.add_argument("path")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_double)
+    for name, transform, text in (
+        ("transpose", transpose_code, "code of the transposed matrix"),
+        ("double", double_code, "doubling construction (kernel dim 2)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("path")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_transform, transform=transform)
 
     p = sub.add_parser("search", help="exhaustive search for one or more n")
     p.add_argument("--n", type=_positive_int, action="append", required=True)

@@ -58,16 +58,17 @@ pi_b pi_a pi_b = pi_a^-1.  Write w(g) for the word of g.
 Conversely an HFP code has a^(2n) = u and the weights of its powers, and
 its b is b* or b* + u by 1.  []
 
-So the scans decide on a alone (powers_ok: the parity of the halves and,
-by the half-profile lemma, the weights of a, ..., a^(n-1)) and complete
-every survivor with b*.  A given pair (a, b) is decided on the two words
-alone by first_violation: the parity, then b^2 = u and b a = a^-1 b in
-closed form, then the weights of a, ..., a^(n-1) in the one power loop
-that powers_ok shares (_bad_power).  By 1, once a^(2n) = u the two
-relations hold iff b is b* or b* + u, so no test through derive_b_bits
-repeats them.  verify_hfp reports the first violation, and check_candidate
-is "no violation, then codeword_table".  tests/test_kernels.py checks the
-theorem exhaustively at small n.
+So the scans decide on a alone and complete every survivor with b*:
+scan_general enumerates only words with both halves odd, and by the
+half-profile lemma the weights of a, ..., a^(n-1) decide the rest
+(_bad_power, the one power loop).  A given pair (a, b) is decided on the
+two words alone by first_violation, the one test that also checks the
+parity: the parity, then b^2 = u and b a = a^-1 b in closed form, then
+_bad_power.  By 1, once a^(2n) = u the two relations hold iff b is b* or
+b* + u, so no test through derive_b_bits repeats them.  verify_hfp
+reports the first violation, and check_candidate is "no violation, then
+codeword_table".  tests/test_kernels.py checks the theorem exhaustively
+at small n.
 """
 
 from __future__ import annotations
@@ -142,20 +143,6 @@ def _bad_power(a: int, n: int) -> tuple[int, int] | None:
         if weight != half:
             return i, weight
     return None
-
-
-def powers_ok(a: int, n: int) -> bool:
-    """Whether a^(2n) = u and wt(a^i) = 2n for 0 < i < 2n.
-
-    This decides whether a generates a type-Q code (module docstring).
-    a^(2n) = u is the parity of the halves, and given it wt(a^n) = 2n and
-    wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma), so only a, ...,
-    a^(n-1) are visited.
-    """
-    mask = (1 << (2 * n)) - 1
-    return bool((a & mask).bit_count() & (a >> (2 * n)).bit_count() & 1) and (
-        _bad_power(a, n) is None
-    )
 
 
 def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
@@ -262,8 +249,9 @@ def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
     Visits only the words with wt(a1) odd and wt(a2) = 2n - wt(a1), row by
     row over a2 and, inside a row, through a1 of one weight by Gosper's
     successor.  Every other word fails check_candidate: by weight, or by
-    a^(2n) = u (module docstring).  A word is a hit iff powers_ok passes,
-    and its b is derive_b_bits(a, n) (module docstring).
+    a^(2n) = u (module docstring).  So both halves of a visited word are
+    odd, the word is a hit iff _bad_power finds no power of a wrong
+    weight, and its b is derive_b_bits(a, n) (module docstring).
     """
     half = 2 * n
     full = 1 << half
@@ -282,7 +270,7 @@ def scan_general(n: int, start: int, stop: int) -> list[tuple[int, int]]:
         a1 = first_of_weight(max(start - base, 0), half - w2)
         while a1 < end:
             a = base | a1
-            if powers_ok(a, n):
+            if _bad_power(a, n) is None:
                 # wt(a) = 2n, so derive_b_bits never returns None here
                 hits.append((a, derive_b_bits(a, n)))
             low = a1 & -a1

@@ -16,7 +16,7 @@ hit iff both halves of a are odd and P(a2) = 2n - P(a1) componentwise.
   in a table that profiles one a1 per rotation class (P is invariant
   under rotation, proof in _profile_table).  A search with a limit scans
   the words of each row instead (kernels_py.scan_general: the parity
-  lemma, then powers_ok per word).
+  lemma, then the power loop per word).
 - In the structured family the profile of a2 follows from that of a1, so
   whether a candidate verifies does not depend on iota (_settled), and
   the family is empty for every odd n >= 3.
@@ -36,12 +36,11 @@ order.  The searches expand each hit of the quotient into its orbit
 (_expand): every image takes its b from the hit's b by sigma_s, without
 derive_b_bits, codeword_table or kernel_ints, and an image and its
 complement share it.  search_general expands each orbit from its least
-member only: in a free row (_free) every hit is that member, and in the
-few other rows the least of the hit's images decides.  So dedup sees
-every raw hit exactly once.  No search builds a kernel from codewords:
-from n = 3 on it is read off a by analysis.structured_iota (F5) once per
-expanded hit, and its iota is attached to every image; at n <= 2 the
-code is linear and its kernel is its word table.  search_k2 and
+member only: it keeps a hit iff the hit is the least of its images.  So
+dedup sees every raw hit exactly once.  No search builds a kernel from
+codewords: from n = 3 on it is read off a by analysis.structured_iota
+(F5) once per expanded hit, and its iota is attached to every image; at
+n <= 2 the code is linear and its kernel is its word table.  search_k2 and
 search_general consume their generator completely; ito_scan takes the
 first hit of each, which is the smallest hit overall because the least
 word of an orbit lies in a quotient row (or has a quotient a1).
@@ -170,25 +169,6 @@ def _quotient(half: int) -> Iterator[int]:
                 yield x
 
 
-def _free(a2: int, half: int) -> bool:
-    """Whether the row a2 is free: its class has 2 * half members.
-
-    The class of a2 is its rotations and the rotations of its complement,
-    at most 2 * half = 4n half-words.  In a free quotient row every hit a
-    is the least word of its orbit (_expand), and the orbit has 4n words.
-    The high half of sigma_s a, or of its complement, is rot(a2, -s) or
-    its complement: over s < 2n these run through the class of a2, so the
-    4n images have distinct high halves and are distinct.  Every image
-    other than a has a high half other than a2, which exceeds a2, since a2
-    is least in its class (a quotient row); the high half decides the
-    order of the ints.  tests/test_search.py checks this exhaustively for
-    n <= 7.
-    """
-    mask = (1 << half) - 1
-    rotations = {(x | x << half) >> k & mask for x in (a2, a2 ^ mask) for k in range(half)}
-    return len(rotations) == 2 * half
-
-
 def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
     """The raw hits (n, image, b, iota, key), one per image of a.
 
@@ -272,8 +252,15 @@ def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
         with sigma_s a in {a, a + u} (p <= 2n).  The 2p words sigma_t a and
         sigma_t a + u for t < p are distinct, since an equality would give
         a smaller p, and every later image is one of them.  So the loop
-        stops at p, and each image is yielded once without a set; in a
-        free row (_free) p = 2n.
+        stops at p, and each image is yielded once without a set.  Call a
+        quotient row a2 free when its class under rotation and complement
+        has 4n half-words.  The high half of sigma_s a, or of its
+        complement, is rot(a2, -s) or its complement, so in a free row the
+        4n images have the 4n high halves of the class: p = 2n, and a is
+        the least image, since a2 is least in its class and the high half
+        decides the order.  search_general does not rely on this: it
+        compares every hit with its images (tests/test_search.py checks
+        the free rows for n <= 7).
 
     So sigma a and sigma a + u share one b (L1, L2) and one key, and come
     out in that order.  tests/test_search.py checks F3 and the key
@@ -382,13 +369,11 @@ def _row_hits(
     """The (a, b) hits of the odd row a2, a increasing, by the profile join.
 
     a = a1 + x^(2n) a2 is a hit iff a1 is odd and P(a1) = 2n - P(a2) (the
-    half-profile lemma of kernels_py).  table is _profile_table(n), filled
-    on first use; the hits are the distinct rotations of the matching
-    representatives, each of which matches too.
+    half-profile lemma of kernels_py).  table is _profile_table(n); the
+    hits are the distinct rotations of the matching representatives, each
+    of which matches too.
     """
     half = 2 * n
-    if not table:
-        table.update(_profile_table(n))
     key = tuple(half - w for w in kernels.half_profile(a2, n))
     a1s = {rotl(h, s, half) for h in table.get(key, ()) for s in range(half)}
     base = a2 << half
@@ -406,26 +391,27 @@ def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     are all scanned, and the other rows of its class lie above it.  The
     last step is (stop, []), so the covered bound always reaches stop.
 
-    Over the whole space the rows are joined by profile (_row_hits); the
-    profile table lives as long as this generator.  Below a limit the
-    words of each row are scanned (kernels_py.scan_general), which is also
-    the oracle of the join.  A limit covers few rows, but the join
-    profiles every odd rotation class, whatever the limit:
-    search_general(16, 2**40) covers only the rows a2 < 256, yet its
-    table would profile about 2^31 / 32 = 67M odd necklaces.
+    Over the whole space the rows are joined by profile (_row_hits), with
+    one profile table, built when the first row is asked for and kept as
+    long as this generator.  Below a limit the words of each row are
+    scanned (kernels_py.scan_general), which is also the oracle of the
+    join.  A limit covers few rows, but the join profiles every odd
+    rotation class, whatever the limit: search_general(16, 2**40) covers
+    only the rows a2 < 256, yet its table would profile about 2^31 / 32 =
+    67M odd necklaces.
     """
     half = 2 * n
     space = 1 << (2 * half)
     last = (stop - 1) >> half
-    table: dict[tuple[int, ...], list[int]] = {}
+    table = _profile_table(n) if stop == space else None
     for a2 in _quotient(half):
         if a2 > last:
             break
         end = min((a2 + 1) << half, stop)
-        if stop == space:
-            yield end, _row_hits(a2, n, table)
-        else:
+        if table is None:
             yield end, kernels.scan_general(n, a2 << half, end)
+        else:
+            yield end, _row_hits(a2, n, table)
     yield stop, []
 
 
@@ -458,21 +444,18 @@ def search_general(
     Every hit passes full verification; iota is attached when the kernel
     has dimension 2.  With a limit, only the images below it are kept.
     Each orbit is expanded from its least member, which is below the limit
-    whenever any of its images is, and lies in a quotient row: every hit of
-    a free row (_free), and in any other row the hits that are least among
-    their images (_expand).  The raw hits stream into the dedup, so memory
-    holds one entry per code, not every raw hit.
+    whenever any of its images is, and lies in a quotient row: a hit is
+    kept iff it is the least of its images (_expand).  The raw hits stream
+    into the dedup, so memory holds one entry per code, not every raw hit.
     """
     stop = _stop(n, limit)
-    half = 2 * n
 
     def hits() -> Iterator[Hit]:
         raw = 0
         for covered, found in _general(n, stop):
-            free = bool(found) and _free(found[0][0] >> half, half)
             for a_bits, b_bits in found:
                 images = _expand(a_bits, b_bits, structured_iota(a_bits, n), n)
-                if not (free or min(h[1] for h in images) == a_bits):
+                if min(h[1] for h in images) != a_bits:
                     continue
                 kept = [h for h in images if h[1] < stop]
                 raw += len(kept)

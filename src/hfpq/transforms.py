@@ -223,8 +223,7 @@ def doubled_criterion_operand(a1: int, kappa1: int, iota: int, n: int) -> int:
     Equals (a1 + x^(iota+1) phi1(a1))^2 + x (kappa1 + x^iota phi1(kappa1))^2
     mod x^(4n) - 1 (the squared-factorization identity).
     """
-    big = interleave(a1, kappa1, 2 * n)
-    return big ^ rotl(reverse_bits(big, 4 * n), 2 * iota + 1, 4 * n)
+    return rank_criterion_operand(interleave(a1, kappa1, 2 * n), 2 * iota, 2 * n)
 
 
 def double_gcd_check(a1: int, kappa1: int, iota: int, n: int) -> DoubleGcdCheck:

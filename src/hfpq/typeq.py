@@ -52,11 +52,7 @@ PASS = Verdict(True)
 
 
 def check_iota(iota: int, n: int) -> None:
-    """Reject a kernel exponent outside [0, 2n).
-
-    TypeQCode and kappa_vector test the same range inline, without a call:
-    they run once per listed code and once per expanded search hit.
-    """
+    """Reject a kernel exponent outside [0, 2n)."""
     if not 0 <= iota < 2 * n:
         raise ValueError(f"iota {iota} out of range [0, {2 * n})")
 
@@ -84,8 +80,8 @@ class TypeQCode(_TypeQCodeFields):
         length = 4 * n
         if a_vec.length != length or b_vec.length != length:
             raise ValueError(f"generator words must have length {length}")
-        if iota is not None and not 0 <= iota < 2 * n:
-            raise ValueError(f"iota {iota} out of range [0, {2 * n})")
+        if iota is not None:
+            check_iota(iota, n)
         return tuple.__new__(cls, (n, a_vec, b_vec, iota))
 
     @classmethod
@@ -131,8 +127,7 @@ def kappa_vector(iota: int, n: int) -> BinaryWord:
 
     v is the alternating word (0,1,0,1,...,0,1) of length 2n.
     """
-    if not 0 <= iota < 2 * n:
-        raise ValueError(f"iota {iota} out of range [0, {2 * n})")
+    check_iota(iota, n)
     half = 2 * n
     v = sum(1 << i for i in range(1, half, 2))
     w = v if iota % 2 == 0 else v ^ ((1 << half) - 1)

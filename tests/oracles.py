@@ -15,8 +15,10 @@ table over every half-word (against search._quotient and
 search._profile_table), the verifier that reads the word table (against
 typeq.verify_hfp, which reads a and b alone), the orbit of a generator
 word as a set (against search._expand), the division by x + 1 one bit
-at a time (against gf2poly.div_x_plus_1), and b derived with one
-division per half (against kernels_py.derive_b_bits, which divides once).
+at a time (against gf2poly.div_x_plus_1), b derived with one division
+per half (against kernels_py.derive_b_bits, which divides once), and the
+power test of a alone with its own parity check (against
+kernels_py.scan_general, whose words all have odd halves).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from hfpq.analysis import (
 )
 from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
 from hfpq.gf2poly import poly_mul, reverse_bits, rotl
+from hfpq.kernels_py import _bad_power
 from hfpq.typeq import (
     PASS,
     HadamardMatrixQ,
@@ -472,3 +475,17 @@ def orbit(a: int, n: int) -> set[int]:
     half = 2 * n
     u = (1 << (2 * half)) - 1
     return {w for s in range(half) for w in sigma((a, a ^ u), s, half)}
+
+
+def powers_ok(a: int, n: int) -> bool:
+    """Whether a^(2n) = u and wt(a^i) = 2n for 0 < i < 2n.
+
+    This decides whether a generates a type-Q code (kernels_py module
+    docstring).  a^(2n) = u is the parity of the halves, and given it
+    wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma),
+    so only a, ..., a^(n-1) are visited.
+    """
+    mask = (1 << (2 * n)) - 1
+    return bool((a & mask).bit_count() & (a >> (2 * n)).bit_count() & 1) and (
+        _bad_power(a, n) is None
+    )

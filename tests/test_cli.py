@@ -68,6 +68,39 @@ def test_parse_errors_carry_position():
         parse_code_file("HFPQ v1\nn=6\na=" + "0" * 24 + "\niota=12\n")
 
 
+@pytest.mark.parametrize(
+    "line, column",
+    [("n=+6", 3), ("n= 6", 3), ("n=-1", 3), ("n=6_0", 3), ("n=\u0666", 3),
+     ("iota=1_1", 6), ("iota=+11", 6), ("iota= 11", 6), ("iota=", 6)],
+)
+def test_parse_integers_are_ascii_digits(line, column):
+    # int() would read "+6", " 6" and "6_0" (as 60), "1_1" (as 11) and the
+    # Arabic-Indic digit six; each field is rejected where its value starts
+    fields = {"n": "n=6", "a": "a=111111011010101001000000"}
+    fields[line.split("=")[0]] = line
+    text = "HFPQ v1\n" + "\n".join(fields.values()) + "\n"
+    with pytest.raises(CodeFileError, match="is not a decimal integer") as info:
+        parse_code_file(text)
+    assert (info.value.line, info.value.column) == (2 if line[0] == "n" else 4, column)
+
+
+def test_parse_keeps_n_range_error():
+    with pytest.raises(CodeFileError, match="n must be >= 1") as info:
+        parse_code_file("HFPQ v1\nn=0\na=\n")
+    assert info.value.line == 2
+
+
+def test_analyze_signed_and_underscored_integers_exit_2(tmp_path, capsys):
+    path = tmp_path / "loose.code"
+    path.write_text(GOLDEN_FILE.replace("n=6", "n=+6").replace("iota=11", "iota=1_1"),
+                    encoding="ascii")
+    assert main(["analyze", str(path)]) == 2
+    assert "line 2, col 3: n is not a decimal integer" in capsys.readouterr().err
+    path.write_text(GOLDEN_FILE.replace("iota=11", "iota=1_1"), encoding="ascii")
+    assert main(["analyze", str(path)]) == 2
+    assert "line 5, col 6: iota is not a decimal integer" in capsys.readouterr().err
+
+
 def test_analyze_reference_report(golden_path, capsys):
     assert main(["analyze", golden_path]) == 0
     out = capsys.readouterr().out.splitlines()

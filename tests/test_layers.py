@@ -34,6 +34,9 @@ ORACLE_ONLY = {
     "_sigma",
     # a column of given rows, one bit per row (oracles.column)
     "_column",
+    # the power test with its own parity check, beside first_violation
+    # (oracles.powers_ok)
+    "powers_ok",
 }
 
 

@@ -17,7 +17,6 @@ from hfpq.gf2poly import reverse_bits, rotl
 from hfpq.search import (
     ItoScanRow,
     _expand,
-    _free,
     _general,
     _necklaces,
     _profile_table,
@@ -395,11 +394,11 @@ def test_join_equals_word_scan(n):
     for a2, (end, found) in zip(quotient, rows):
         assert found == kernels.scan_general(n, a2 << half, end)
     if n <= 5:
-        classes = {}
+        table = _profile_table(n)
         for a2 in range(1, 1 << half):
             if a2.bit_count() & 1:
                 row = kernels.scan_general(n, a2 << half, (a2 + 1) << half)
-                assert _row_hits(a2, n, classes) == row
+                assert _row_hits(a2, n, table) == row
 
 
 def _raw_hits(monkeypatch, run):
@@ -527,11 +526,11 @@ def _generators(n):
     The raw hits are the profile join over every odd row, the word scan's
     equal (n <= 5).
     """
-    classes = {}
+    table = _profile_table(n)
     generators = {}
     for a2 in range(1 << (2 * n)):
         if a2.bit_count() & 1:
-            for a, b in _row_hits(a2, n, classes):
+            for a, b in _row_hits(a2, n, table):
                 words = frozenset(kernels.codeword_table(a, b, n))
                 generators.setdefault(words, []).append((a, b))
     return generators
@@ -582,10 +581,11 @@ def test_rank_orders_each_coset_by_a_string(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_free_rows_hold_only_orbit_least_hits(n):
-    # the lemma of search._free, over every quotient row: in a free row
-    # (a class of 4n half-words under rotation and complement) every hit is
-    # the least of its orbit, and its orbit has 4n words; the other rows
-    # are few, and the least of the images decides there
+    # the free-row lemma of search._expand's Orbit paragraph, over every
+    # quotient row: in a free row (a class of 4n half-words under rotation
+    # and complement) every hit is the least of its orbit, and its orbit has
+    # 4n words; the other rows are few, and the least of the images decides
+    # there
     half = 2 * n
     mask = (1 << half) - 1
     off_free = 0
@@ -593,7 +593,6 @@ def test_free_rows_hold_only_orbit_least_hits(n):
     for end, found in rows:
         a2 = (end - 1) >> half
         klass = {rotl(x, s, half) for x in (a2, a2 ^ mask) for s in range(half)}
-        assert _free(a2, half) == (len(klass) == 4 * n)
         if len(klass) < 4 * n:
             off_free += len(found)
             continue
