@@ -27,14 +27,7 @@ from .analysis import AnalysisReport, IndexingInconsistency, analyze, code_iota
 from .core import BinaryWord
 from .search import search_general, search_k2
 from .transforms import double_code, transpose_code
-from .typeq import (
-    NotHadamardGroup,
-    NotTypeQCandidate,
-    TypeQCode,
-    VerificationError,
-    build_matrix,
-    derive_b,
-)
+from .typeq import TypeQCode, VerificationError, build_matrix, derive_b
 
 HEADER = "HFPQ v1"
 
@@ -60,6 +53,12 @@ class CodeFile(NamedTuple):
     iota: int | None
 
 
+def _is_decimal(text: str) -> bool:
+    # ASCII digits only: int() would also take a sign, spaces, "_" and the
+    # digits of other scripts
+    return text.isascii() and text.isdigit()
+
+
 def parse_code_file(text: str) -> CodeFile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
@@ -79,9 +78,8 @@ def parse_code_file(text: str) -> CodeFile:
         fields[key] = (value, lineno)
 
     def _int_field(key: str) -> tuple[int, int]:
-        # ASCII digits only: int() would also take a sign, spaces and "_"
         value, lineno = fields[key]
-        if not (value.isascii() and value.isdigit()):
+        if not _is_decimal(value):
             raise CodeFileError(f"{key} is not a decimal integer", lineno, len(key) + 2)
         return int(value), lineno
 
@@ -264,6 +262,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
+    # a leading "-" passes here, so that -1 gets the range message
+    if not _is_decimal(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -323,13 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotTypeQCandidate,
-        NotHadamardGroup,
-        VerificationError,
-        IndexingInconsistency,
-        ValueError,
-    ) as exc:
+    except (ValueError, IndexingInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,13 @@ order 8n under the propelinear product with the canonical permutations
 (per-half rotation for a, full reversal for b); the table lists the word
 of a^i at index i and of a^i b at index 4n+i.
 
+pi_a, the rotation of each 2n-bit half left by one, is one whole-word
+step: pi_a w = (w << 1) & keep | (w >> (2n-1)) & wrap, with wrap = 1 |
+1 << 2n (bit 0 of each half) and keep = u + wrap.  The left shift moves
+bit 2n-1 to bit 2n and bit 4n-1 out of the word, and keep clears both;
+the right shift brings them down to bits 0 and 2n.  codeword_table,
+_bad_power and first_violation take this step inline.
+
 Lemma (parity of a^(2n)): per half h, a^k = sum_{j<k} x^j a_h in
 GF(2)[x]/(x^(2n)-1), and sum_{j<2n} x^j = u_h, so a^(2n) = wt(a_h) u_h.
 Hence a^(2n) = u iff both halves have odd weight; for wt(a) = 2n that is
@@ -63,44 +70,38 @@ scan_general enumerates only words with both halves odd, and by the
 half-profile lemma the weights of a, ..., a^(n-1) decide the rest
 (_bad_power, the one power loop).  A given pair (a, b) is decided on the
 two words alone by first_violation, the one test that also checks the
-parity: the parity, then b^2 = u and b a = a^-1 b in closed form, then
-_bad_power.  By 1, once a^(2n) = u the two relations hold iff b is b* or
-b* + u, so no test through derive_b_bits repeats them.  verify_hfp
-reports the first violation, and check_candidate is "no violation, then
-codeword_table".  tests/test_kernels.py checks the theorem exhaustively
+parity: the parity, then b^2 = u and b a = a^-1 b in closed form (b +
+rev(b) = u and pi_a(b + rev(a)) = a + b), then _bad_power.  By 1, once
+a^(2n) = u the two relations hold iff b is b* or b* + u, so no test
+through derive_b_bits repeats them.  verify_hfp reports the first
+violation, and check_candidate is "no violation, then codeword_table".  tests/test_kernels.py checks the theorem exhaustively
 at small n.
 """
 
 from __future__ import annotations
 
 from .core import GroupElement
-from .gf2poly import div_x_plus_1, reverse_bits, rotl
+from .gf2poly import div_x_plus_1, reverse_bits
 
 
 def codeword_table(a: int, b: int, n: int) -> tuple[int, ...]:
-    """All 8n words generated by (a, b); no validity checks."""
-    half = 2 * n
+    """All 8n words generated by (a, b); no validity checks.
+
+    w(a^i) = a + pi_a w(a^(i-1)) and w(a^i b) = w(a^i) + pi_a^i b: one
+    pi_a step (module docstring) per word in each loop.
+    """
     length = 4 * n
-    mask = (1 << half) - 1
-    shift = half - 1
+    shift = 2 * n - 1
+    wrap = 1 | 1 << 2 * n
+    keep = (1 << length) - 1 ^ wrap
     words = [0] * (2 * length)
     v = 0
     for i in range(1, length):
-        lo = v & mask
-        hi = v >> half
-        v = a ^ (
-            (((lo << 1) | (lo >> shift)) & mask)
-            | ((((hi << 1) | (hi >> shift)) & mask) << half)
-        )
+        v = a ^ ((v << 1) & keep | (v >> shift) & wrap)
         words[i] = v
-    rb = b
     for i in range(length):
-        words[length + i] = words[i] ^ rb
-        lo = rb & mask
-        hi = rb >> half
-        rb = (((lo << 1) | (lo >> shift)) & mask) | (
-            (((hi << 1) | (hi >> shift)) & mask) << half
-        )
+        words[length + i] = words[i] ^ b
+        b = (b << 1) & keep | (b >> shift) & wrap
     return tuple(words)
 
 
@@ -126,19 +127,16 @@ def half_profile(h: int, n: int) -> tuple[int, ...]:
 def _bad_power(a: int, n: int) -> tuple[int, int] | None:
     """(i, wt(a^i)) for the first 0 < i < n with wt(a^i) != 2n, else None.
 
-    The one power loop: each step gives the word a^k = a + pi_a a^(k-1).
+    The one power loop: each step gives the word a^k = a + pi_a a^(k-1),
+    pi_a one whole-word shift-and-mask (module docstring).
     """
     half = 2 * n
-    mask = (1 << half) - 1
     shift = half - 1
+    wrap = 1 | 1 << half
+    keep = (1 << 2 * half) - 1 ^ wrap
     v = 0  # the word of a^0
     for i in range(1, n):
-        lo = v & mask
-        hi = v >> half
-        v = a ^ (
-            (((lo << 1) | (lo >> shift)) & mask)
-            | ((((hi << 1) | (hi >> shift)) & mask) << half)
-        )
+        v = a ^ ((v << 1) & keep | (v >> shift) & wrap)
         weight = v.bit_count()
         if weight != half:
             return i, weight
@@ -153,8 +151,8 @@ def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
     - a^(2n) = u: both halves of a odd (the parity lemma);
     - b^2 = u: w(b b) = b + pi_b b, so b + rev(b) = u, rev the reversal of
       all 4n bits;
-    - b a = a^-1 b: b + rev(a) = x^-1 (a + b), x^-1 rotating each half
-      right by one;
+    - b a = a^-1 b: pi_a(b + rev(a)) = a + b, pi_a the whole-word step
+      of the module docstring;
     - wt(a^i) = 2n for 0 < i < n (_bad_power), witness (a^i, weight).
 
     Closed form of b a = a^-1 b.  w(b a) = b + pi_b a = b + rev(a).  The
@@ -162,10 +160,12 @@ def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
     the table is w(a^(4n-1)) + pi_a^(4n-1) b = S_(4n-1) a + x^(4n-1) b,
     S_k = 1 + x + ... + x^(k-1) acting on both halves.  Mod x^(2n) + 1,
     x^(2n) = 1, so S_(4n) = 2 S_(2n) = 0 and S_(4n-1) = S_(4n) + x^(4n-1)
-    = x^-1: the word is x^-1 (a + b).  Likewise the table's w(a^(2n)) is
-    S_(2n) a, whose half h is wt(a_h) u_h (the parity lemma).  Both
-    identities hold for every (a, b), so these tests say what the table's
-    words say.  Past them the weights of a, ..., a^(n-1) decide (the
+    = x^-1: the word is x^-1 (a + b).  So b a = a^-1 b reads b + rev(a) =
+    x^-1 (a + b), and applying pi_a, multiplication by x and a bijection,
+    to both sides gives the tested form pi_a(b + rev(a)) = a + b.
+    Likewise the table's w(a^(2n)) is S_(2n) a, whose half h is wt(a_h)
+    u_h (the parity lemma).  Both identities hold for every (a, b), so
+    these tests say what the table's words say.  Past them the weights of a, ..., a^(n-1) decide (the
     theorem, and the half-profile lemma for a^n, ..., a^(2n-1)).
     """
     half = 2 * n
@@ -176,10 +176,10 @@ def first_violation(a: int, b: int, n: int) -> tuple[str, object] | None:
         return "RelationViolation", "a^{2n} != u"
     if b ^ reverse_bits(b, length) != u:
         return "RelationViolation", "b^2 != u"
-    c = a ^ b
-    if b ^ reverse_bits(a, length) != rotl(c & mask, -1, half) | (
-        rotl(c >> half, -1, half) << half
-    ):
+    wrap = 1 | 1 << half
+    keep = u ^ wrap
+    c = b ^ reverse_bits(a, length)
+    if (c << 1) & keep | (c >> half - 1) & wrap != a ^ b:
         return "RelationViolation", "b a != a^{-1} b"
     bad = _bad_power(a, n)
     if bad is None:

@@ -4,10 +4,10 @@ The transpose code is read off two columns of the normalized Hadamard
 matrix: column 1 is its generator a, and column 4n-1 checks its b (the
 proof that these decide every column is in transpose_code).  Both
 columns come from (a, b) by window parity (gf2poly.prefix_xor), without
-the matrix or the word table.  Doubling
-interleaves the generator with the kernel generator, A_i(x) = a_i(x^2) +
-x kappa_i(x^2), sending length 4n, kernel dimension 2 to length 8n,
-kernel dimension 2 (exponent 2 iota).
+the matrix or the word table.  Doubling interleaves the generator with the
+kernel generator, A_i(x) = a_i(x^2) + x kappa_i(x^2), sending length 4n,
+kernel dimension 2 to length 8n, kernel dimension 2 (exponent 2 iota).
+Both end in one output check (_output): derive b, verify, read iota.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .typeq import (
     NotTypeQCandidate,
     TypeQCode,
     check_iota,
-    derive_b,
     kappa_vector,
+    make_code,
     require_verified,
 )
 
@@ -62,16 +62,31 @@ def _transposed_generators(a: int, b: int, n: int) -> tuple[int, int]:
     )
 
 
+def _output(a: int, n: int, rejected: str, failed: str) -> TypeQCode:
+    """The verified code of the new 4n-bit generator a, iota read off a.
+
+    An a without b (NotTypeQCandidate) or a code that fails verify_hfp is
+    a transform bug: IndexingInconsistency led by rejected or failed.
+    """
+    try:
+        out = make_code(n, BinaryWord(a, 4 * n))
+    except NotTypeQCandidate as exc:
+        raise IndexingInconsistency(f"{rejected}: {exc}") from exc
+    verdict = verify_hfp(out)
+    if not verdict.ok:
+        raise IndexingInconsistency(f"{failed}: {verdict.failure}")
+    return out._replace(iota=structured_iota(a, n))
+
+
 def transpose_code(code: TypeQCode) -> TypeQCode:
     """Code of the transposed matrix; codewords are the columns of H.
 
     Reads two columns of H, not all 4n, and reads them off (a, b) without
     building H.  The rows are taken in the order e, a, ..., a^(2n-1), ab,
     ..., a^(2n) b (row -i mod 2n of H at position i in the first half), so
-    the columns come out in canonical coordinate order.  The generator a'
-    is column 1; b' is derived from a' and the new code verified; column
-    4n-1 must be b' or b' + u.  iota is read off a' (structured_iota).  A
-    code that fails verify_hfp raises VerificationError.
+    the columns come out in canonical coordinate order.  Column 1 is the
+    new a, which _output completes and checks; column 4n-1 must be its b
+    or b + u.  An input that fails verify_hfp raises VerificationError.
 
     Why two columns decide all of them.  Row x and column y of H (both
     labelled in D1) meet in gamma(yx), the first bit of the word of yx.  So
@@ -116,23 +131,12 @@ def transpose_code(code: TypeQCode) -> TypeQCode:
     """
     n = code.n
     require_verified(code)
-    length = 4 * n
-    u = (1 << length) - 1
     col_a, col_b = _transposed_generators(code.a_vec.bits, code.b_vec.bits, n)
-    new_a = BinaryWord(col_a, length)
-    try:
-        new_b = derive_b(new_a, n)
-    except NotTypeQCandidate as exc:
-        raise IndexingInconsistency(f"transpose generator rejected: {exc}") from exc
-    out = TypeQCode(n, new_a, new_b)
-    verdict = verify_hfp(out)
-    if not verdict.ok:
-        raise IndexingInconsistency(
-            f"transpose failed verification: {verdict.failure}"
-        )
-    if col_b not in (new_b.bits, new_b.bits ^ u):
+    out = _output(col_a, n, "transpose generator rejected",
+                  "transpose failed verification")
+    if col_b ^ out.b_vec.bits not in (0, (1 << 4 * n) - 1):
         raise IndexingInconsistency("column 4n-1 of H is not the transpose's b")
-    return out._replace(iota=structured_iota(new_a.bits, n))
+    return out
 
 
 def double_code(code: TypeQCode) -> TypeQCode:
@@ -142,8 +146,7 @@ def double_code(code: TypeQCode) -> TypeQCode:
     the kernel generator); a given code.iota must equal it.  The new kernel
     generator is A^(2 iota) B (exact computation; exhaustive over all small
     k=2 codes), whose representative is the alternating pattern of length
-    8n.  Self-checks that the new code verifies and that its a gives
-    2 iota.
+    8n.  _output completes and checks the new code; its iota must be 2 iota.
 
     Rank: the paper proves that the maximal rank 2n doubles to 4n.
     Observed, not proved: the double has k = 2 and exactly twice the
@@ -163,13 +166,9 @@ def double_code(code: TypeQCode) -> TypeQCode:
     kappa = kappa_vector(iota, n).bits
     # A_h = a_h(x^2) + x kappa_h(x^2) for both halves at once: bit 2n + i
     # of a (bit i of a_2) lands at bit 4n + 2i, which is bit 2i of A_2
-    new_a = BinaryWord(interleave(code.a_vec.bits, kappa, 4 * n), 8 * n)
-    new_b = derive_b(new_a, half)
-    out = TypeQCode(half, new_a, new_b, iota=2 * iota)
-    verdict = verify_hfp(out)
-    if not verdict.ok:
-        raise IndexingInconsistency(f"doubled code failed: {verdict.failure}")
-    if structured_iota(new_a.bits, half) != 2 * iota:
+    out = _output(interleave(code.a_vec.bits, kappa, 4 * n), half,
+                  "doubled generator rejected", "doubled code failed")
+    if out.iota != 2 * iota:
         raise IndexingInconsistency("doubled kernel exponent is not 2 iota")
     return out
 

@@ -162,13 +162,14 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     the first that fails.  The checks read a and b alone
     (kernels_py.first_violation): a^(2n) = u is the parity of the halves,
     b^2 = u is b + rev(b) = u, and b a = a^-1 b is b + rev(a) = x^-1 (a +
-    b), because the word of a^(4n-1) b is x^-1 (a + b); the proofs are in
-    that docstring.  So no word table is built.  Given a^(2n) = u,
-    wt(a^n) = 2n and wt(a^(2n-i)) = 4n - wt(a^i) (the half-profile lemma),
-    so a, ..., a^(2n-1) all have weight 2n.  Given the relations these
-    imply weight 2n at every word outside {e, u} and the distinctness of
-    the 8n words, which make the code Hadamard (the theorem and its proof
-    are in the kernels_py module docstring).
+    b), because the word of a^(4n-1) b is x^-1 (a + b), tested with pi_a
+    applied to both sides; the proofs are in that docstring.  So no word
+    table is built.  Given a^(2n) = u, wt(a^n) = 2n and wt(a^(2n-i)) =
+    4n - wt(a^i) (the half-profile lemma), so a, ..., a^(2n-1) all have
+    weight 2n.  Given the relations these imply weight 2n at every word
+    outside {e, u} and the distinctness of the 8n words, which make the
+    code Hadamard (the theorem and its proof are in the kernels_py module
+    docstring).
 
     The permutation axioms depend on n alone, not on (a, b), so they are
     proved here once instead of checked per code.  Every pi_g is

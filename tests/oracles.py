@@ -23,6 +23,7 @@ kernels_py.scan_general, whose words all have odd halves).
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -234,6 +235,16 @@ def rot_halves(v: int, half: int, k: int = 1) -> int:
     lo = rotl(v & mask, k, half)
     hi = rotl(v >> half, k, half)
     return lo | (hi << half)
+
+
+def random_odd_halves(rng: random.Random, n: int) -> int:
+    """A random 4n-bit word whose two halves both have odd weight."""
+    half = 2 * n
+    a1, a2 = rng.getrandbits(half) | 1, rng.getrandbits(half) | 1
+    # toggle one bit above bit 0 when the weight is even
+    a1 ^= (a1.bit_count() & 1 ^ 1) << rng.randrange(1, half)
+    a2 ^= (a2.bit_count() & 1 ^ 1) << rng.randrange(1, half)
+    return a1 | a2 << half
 
 
 def squared_factorization(a1: int, kappa1: int, iota: int, n: int) -> int:

@@ -146,6 +146,19 @@ def test_search_nonpositive_limit_exits_2(limit, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--n", "--limit"])
+@pytest.mark.parametrize("value", ["1_0", "+2", " 2 ", "\u0662"])
+def test_search_loose_integers_exit_2(option, value, capsys):
+    # int() would read "1_0" as 10 and the others, the Arabic-Indic digit
+    # two among them, as 2; the options take ASCII digits as code files do
+    args = {"--n": "2", "--limit": "1"}
+    args[option] = value
+    with pytest.raises(SystemExit) as info:
+        main(["search"] + [f"{key}={text}" for key, text in args.items()])
+    assert info.value.code == 2
+    assert f"{value!r} is not a decimal integer" in capsys.readouterr().err
+
+
 def test_search_k2_only_with_limit_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["search", "--n", "2", "--k2-only", "--limit", "5"])

@@ -8,14 +8,17 @@ import pytest
 from hfpq import kernels, kernels_py
 from hfpq.core import BinaryWord, GroupElement
 from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul, reverse_bits, rotl
-from hfpq.typeq import TypeQCode, verify_hfp
+from hfpq.transforms import double_code
+from hfpq.typeq import PASS, TypeQCode, Verdict, verify_hfp
 
 from .oracles import (
     canonical_perm,
     derive_b_by_two_quotients,
     powers_ok,
     prop_mul,
+    random_odd_halves,
     rot_halves,
+    verify_hfp_on_table,
 )
 
 
@@ -343,3 +346,53 @@ def test_reverse_bits_matches_bitwise_reference():
         for _ in range(20):
             x = rng.getrandbits(width + rng.randrange(8))
             assert reverse_bits(x, width) == _reverse_by_bit(x, width)
+
+
+def _table_by_rot_halves(a, b, n):
+    # w(a^i) = a + pi_a w(a^(i-1)), w(a^i b) = w(a^i) + pi_a^i b, with
+    # pi_a the per-half rotation of the oracle
+    half = 2 * n
+    words = [0]
+    for _ in range(1, 2 * half):
+        words.append(a ^ rot_halves(words[-1], half))
+    return tuple(words) + tuple(
+        w ^ rot_halves(b, half, i) for i, w in enumerate(words)
+    )
+
+
+@pytest.mark.parametrize("n", [8, 15, 16, 31])
+def test_whole_word_pi_a_at_multi_digit_widths(n, k2_hits_8):
+    # halves of 16, 30, 32 and 62 bits put each half and the whole word on
+    # both sides of CPython's 30-bit digits; the table against the per-half
+    # oracle, first_violation's verdict against the verdict read off the
+    # table, on seeded random pairs that reach every branch
+    rng = random.Random(n)
+    length = 4 * n
+    u = (1 << length) - 1
+    pairs = []
+    for _ in range(30):
+        a = random_odd_halves(rng, n)
+        b_star = kernels_py.derive_b_bits(a, n)
+        mirrored = 1 << rng.randrange(length) | 1
+        mirrored |= reverse_bits(mirrored, length)  # keeps b^2 = u
+        pairs += [
+            (rng.getrandbits(length), rng.getrandbits(length)),
+            (a, rng.getrandbits(length)),
+            (a, b_star),
+            (a, b_star ^ u),
+            (a, b_star ^ mirrored),
+        ]
+    codes = k2_hits_8[:4] + [double_code(c) for c in k2_hits_8[:4]]
+    pairs += [(c.a_vec.bits, c.b_vec.bits) for c in codes if c.n == n]
+    seen = set()
+    for a, b in pairs:
+        assert kernels_py.codeword_table(a, b, n) == _table_by_rot_halves(a, b, n)
+        code = TypeQCode(n, BinaryWord(a, length), BinaryWord(b, length))
+        found = kernels_py.first_violation(a, b, n)
+        verdict = PASS if found is None else Verdict(False, *found)
+        assert verdict == verify_hfp_on_table(code)
+        seen.add(verdict.witness if verdict.failure == "RelationViolation"
+                 else verdict.failure)
+    # None is a pass: there are codes at n = 8 and 16, none at 15 and 31
+    branches = {"a^{2n} != u", "b^2 != u", "b a != a^{-1} b", "WeightViolation"}
+    assert seen == branches | ({None} if n in (8, 16) else set())

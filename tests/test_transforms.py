@@ -52,6 +52,7 @@ from .oracles import (
     flip_rows,
     flipped_columns,
     kernel_iota,
+    random_odd_halves,
     squared_factorization,
     table_rows,
     transpose_relabel,
@@ -159,6 +160,53 @@ def test_transpose_catches_the_unflipped_row_order(golden, general_hits, k2_hits
             transpose_code(code)
 
 
+def _raises_inconsistency(transform, code) -> str:
+    with pytest.raises(IndexingInconsistency) as info:
+        transform(code)
+    return str(info.value)
+
+
+def test_transpose_rejects_a_generator_without_b(golden, monkeypatch):
+    # an odd-weight column 1 has no b
+    monkeypatch.setattr(transforms, "_transposed_generators", lambda a, b, n: (1, 0))
+    assert _raises_inconsistency(transpose_code, golden) == (
+        "transpose generator rejected: a has odd weight, so division by x+1 is"
+        " not exact"
+    )
+
+
+def test_transpose_output_must_verify(golden, monkeypatch):
+    # column 1 = 0b11 has a b, but both halves are even: a^(2n) != u
+    monkeypatch.setattr(transforms, "_transposed_generators", lambda a, b, n: (3, 0))
+    assert _raises_inconsistency(transpose_code, golden) == (
+        "transpose failed verification: RelationViolation"
+    )
+
+
+def test_double_output_must_verify(golden, monkeypatch):
+    # interleaving a with 0 instead of kappa halves the weight: wt(A) = 2n
+    # at length 8n
+    monkeypatch.setattr(transforms, "kappa_vector",
+                        lambda iota, n: BinaryWord(0, 4 * n))
+    assert _raises_inconsistency(double_code, golden) == (
+        "doubled code failed: WeightViolation"
+    )
+
+
+def test_double_output_exponent_must_be_2_iota(golden, monkeypatch):
+    # the output's iota read off as one more than 2 iota; the input's as is
+    real = transforms.structured_iota
+
+    def shifted(a, n):
+        iota = real(a, n)
+        return iota if n == golden.n else (iota + 1) % (2 * n)
+
+    monkeypatch.setattr(transforms, "structured_iota", shifted)
+    assert _raises_inconsistency(double_code, golden) == (
+        "doubled kernel exponent is not 2 iota"
+    )
+
+
 def _table_columns(a: int, b: int, n: int) -> tuple[int, int]:
     # columns 1 and 4n-1 of the matrix rows read off the word table in
     # d1_in_coordinate_order, flipped as the transpose takes them; no
@@ -213,14 +261,9 @@ def test_transposed_generators_need_odd_halves():
 def test_transposed_generators_on_random_odd_pairs():
     rng = random.Random(24)
     for n in range(3, 13):
-        half = 2 * n
         for _ in range(40):
-            a1, a2 = rng.getrandbits(half) | 1, rng.getrandbits(half) | 1
-            # toggle one bit above bit 0 when the weight is even
-            a1 ^= (a1.bit_count() & 1 ^ 1) << rng.randrange(1, half)
-            a2 ^= (a2.bit_count() & 1 ^ 1) << rng.randrange(1, half)
-            a = a1 | a2 << half
-            b = rng.getrandbits(2 * half)
+            a = random_odd_halves(rng, n)
+            b = rng.getrandbits(4 * n)
             assert transforms._transposed_generators(a, b, n) == _table_columns(
                 a, b, n
             )
