@@ -29,14 +29,14 @@ def rotl(x: int, k: int, width: int) -> int:
     return ((x << k) | (x >> (width - k))) & mask
 
 
-def interleave(even: int, odd: int, width: int) -> int:
+def interleave(even: int, odd: int) -> int:
     """even(x^2) + x odd(x^2): bit i of even to bit 2i, of odd to bit 2i+1.
 
-    even and odd lie below 1 << width; both strings are read most
-    significant bit first, so each pair is (odd bit, even bit).
+    A binary string read in base 4 puts its bit i at bit 2i, so each
+    operand is spread by one format and one int; the shift by one places
+    odd on the odd bits.
     """
-    pairs = zip(f"{odd:0{width}b}", f"{even:0{width}b}")
-    return int("".join(o + e for o, e in pairs), 2)
+    return int(format(even, "b"), 4) | int(format(odd, "b"), 4) << 1
 
 
 def prefix_xor(x: int, width: int) -> int:
@@ -73,15 +73,27 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
+# the low bit of each hex digit, for poly_mul's fields
+_LOW_BIT = str.maketrans("0123456789abcdef", "0101010101010101")
+
+
 def poly_mul(p: int, q: int) -> int:
-    """Carry-less product of plain polynomials."""
-    out = 0
-    while q:
-        if q & 1:
-            out ^= p
-        p <<= 1
-        q >>= 1
-    return out
+    """Carry-less product of plain polynomials, by one integer product.
+
+    Kronecker substitution: each bit of p and of q becomes a field of k hex
+    digits, so the integer product holds in field i the number of pairs
+    of terms with exponents summing to i, and its parity is coefficient i
+    of the carry-less product.  A field counts at most min(len p, len q)
+    terms, len the bit length, and with k = ceil(bit_length(min(len p,
+    len q)) / 4), at least 1, that count is below 16^k: no field carries
+    into the next, at any size.  The low bit of a field is the low bit of its last hex
+    digit, read off format(product, "x") by one slice and one translate.
+    """
+    k = (min(p.bit_length(), q.bit_length()).bit_length() + 3) // 4 or 1
+    sep = "0" * (k - 1)
+    digits = format(int(sep.join(format(p, "b")), 16)
+                    * int(sep.join(format(q, "b")), 16), "x")
+    return int(digits[(len(digits) - 1) % k::k].translate(_LOW_BIT), 2)
 
 
 def poly_divmod(p: int, q: int) -> tuple[int, int]:
@@ -97,16 +109,23 @@ def poly_divmod(p: int, q: int) -> tuple[int, int]:
     return quo, p
 
 
-def poly_mod(p: int, q: int) -> int:
-    return poly_divmod(p, q)[1]
-
-
 def poly_gcd(p: int, q: int) -> int:
-    """Greatest common divisor of plain polynomials (monic over GF(2))."""
+    """Greatest common divisor of plain polynomials (monic over GF(2)).
+
+    One remainder loop: each step cancels the lead of p by a shift of q,
+    or swaps p and q once p has the lower degree.  dq is q's bit length,
+    and a swap makes it p's, which is dq + shift, so each step takes one
+    bit_length and no quotient.
+    """
     if p == 0 and q == 0:
         raise ValueError("gcd of two zero polynomials is undefined")
+    dq = q.bit_length()
     while q:
-        p, q = q, poly_mod(p, q)
+        shift = p.bit_length() - dq
+        if shift < 0:
+            p, q, dq = q, p, dq + shift
+        else:
+            p ^= q << shift
     return p
 
 

@@ -166,7 +166,7 @@ def double_code(code: TypeQCode) -> TypeQCode:
     kappa = kappa_vector(iota, n).bits
     # A_h = a_h(x^2) + x kappa_h(x^2) for both halves at once: bit 2n + i
     # of a (bit i of a_2) lands at bit 4n + 2i, which is bit 2i of A_2
-    out = _output(interleave(code.a_vec.bits, kappa, 4 * n), half,
+    out = _output(interleave(code.a_vec.bits, kappa), half,
                   "doubled generator rejected", "doubled code failed")
     if out.iota != 2 * iota:
         raise IndexingInconsistency("doubled kernel exponent is not 2 iota")
@@ -222,7 +222,7 @@ def doubled_criterion_operand(a1: int, kappa1: int, iota: int, n: int) -> int:
     Equals (a1 + x^(iota+1) phi1(a1))^2 + x (kappa1 + x^iota phi1(kappa1))^2
     mod x^(4n) - 1 (the squared-factorization identity).
     """
-    return rank_criterion_operand(interleave(a1, kappa1, 2 * n), 2 * iota, 2 * n)
+    return rank_criterion_operand(interleave(a1, kappa1), 2 * iota, 2 * n)
 
 
 def double_gcd_check(a1: int, kappa1: int, iota: int, n: int) -> DoubleGcdCheck:

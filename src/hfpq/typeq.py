@@ -125,11 +125,12 @@ def derive_a2(a1: Gf2Poly, iota: int, n: int) -> Gf2Poly:
 def kappa_vector(iota: int, n: int) -> BinaryWord:
     """Kernel generator pattern: (v||v) for even iota, (v||v+u) for odd.
 
-    v is the alternating word (0,1,0,1,...,0,1) of length 2n.
+    v is the alternating word (0,1,0,1,...,0,1) of length 2n: the ones
+    at the odd bits, (4^n - 1) / 3 = 0b0101...01 shifted up by one.
     """
     check_iota(iota, n)
     half = 2 * n
-    v = sum(1 << i for i in range(1, half, 2))
+    v = ((1 << half) - 1) // 3 << 1
     w = v if iota % 2 == 0 else v ^ ((1 << half) - 1)
     return BinaryWord(v | (w << half), 4 * n)
 
@@ -183,8 +184,19 @@ def verify_hfp(code: TypeQCode) -> Verdict:
     g -> pi_g is a homomorphism.  tests/test_core.py checks all three
     facts exhaustively for n <= 8, on the permutation objects of
     tests/oracles.py.
+
+    The verdict is a pure function of (a, b, n), so the last four are
+    memoized (_verdict): a transform verifies its input and output, and
+    analyze then asks for the same code again.  iota is not read, and a
+    Verdict and its witness are immutable, so a memoized verdict is the
+    one a fresh check would give.
     """
-    found = kernels.first_violation(code.a_vec.bits, code.b_vec.bits, code.n)
+    return _verdict(code.a_vec.bits, code.b_vec.bits, code.n)
+
+
+@lru_cache(maxsize=4)
+def _verdict(a: int, b: int, n: int) -> Verdict:
+    found = kernels.first_violation(a, b, n)
     return PASS if found is None else Verdict(False, *found)
 
 

@@ -18,7 +18,11 @@ word as a set (against search._expand), the division by x + 1 one bit
 at a time (against gf2poly.div_x_plus_1), b derived with one division
 per half (against kernels_py.derive_b_bits, which divides once), and the
 power test of a alone with its own parity check (against
-kernels_py.scan_general, whose words all have odd halves).
+kernels_py.scan_general, whose words all have odd halves), and the loops
+that gf2poly and typeq replaced by whole-int arithmetic: the product one
+bit at a time, the gcd by repeated division, the interleave pair by pair
+and the alternating word as a sum (against gf2poly.poly_mul,
+gf2poly.poly_gcd, gf2poly.interleave and typeq.kappa_vector).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from hfpq.analysis import (
     rank_of_ints,
 )
 from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
-from hfpq.gf2poly import poly_mul, reverse_bits, rotl
+from hfpq.gf2poly import poly_divmod, poly_mul, reverse_bits, rotl
 from hfpq.kernels_py import _bad_power
 from hfpq.typeq import (
     PASS,
@@ -43,6 +47,7 @@ from hfpq.typeq import (
     TypeQCode,
     Verdict,
     build_matrix,
+    check_iota,
     codeword_ints,
     d1_in_coordinate_order,
 )
@@ -500,3 +505,49 @@ def powers_ok(a: int, n: int) -> bool:
     return bool((a & mask).bit_count() & (a >> (2 * n)).bit_count() & 1) and (
         _bad_power(a, n) is None
     )
+
+
+def poly_mul_by_bit(p: int, q: int) -> int:
+    """Carry-less product of plain polynomials."""
+    out = 0
+    while q:
+        if q & 1:
+            out ^= p
+        p <<= 1
+        q >>= 1
+    return out
+
+
+def poly_mod(p: int, q: int) -> int:
+    return poly_divmod(p, q)[1]
+
+
+def poly_gcd_by_divmod(p: int, q: int) -> int:
+    """Greatest common divisor of plain polynomials (monic over GF(2))."""
+    if p == 0 and q == 0:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    while q:
+        p, q = q, poly_mod(p, q)
+    return p
+
+
+def interleave_by_zip(even: int, odd: int, width: int) -> int:
+    """even(x^2) + x odd(x^2): bit i of even to bit 2i, of odd to bit 2i+1.
+
+    even and odd lie below 1 << width; both strings are read most
+    significant bit first, so each pair is (odd bit, even bit).
+    """
+    pairs = zip(f"{odd:0{width}b}", f"{even:0{width}b}")
+    return int("".join(o + e for o, e in pairs), 2)
+
+
+def kappa_by_sum(iota: int, n: int) -> BinaryWord:
+    """Kernel generator pattern: (v||v) for even iota, (v||v+u) for odd.
+
+    v is the alternating word (0,1,0,1,...,0,1) of length 2n.
+    """
+    check_iota(iota, n)
+    half = 2 * n
+    v = sum(1 << i for i in range(1, half, 2))
+    w = v if iota % 2 == 0 else v ^ ((1 << half) - 1)
+    return BinaryWord(v | (w << half), 4 * n)

@@ -32,6 +32,9 @@ from .oracles import (
     canonical_perm,
     compute_rank,
     kernel_by_automorphism,
+    poly_gcd_by_divmod,
+    poly_mod,
+    poly_mul_by_bit,
     rank_via_generators,
     rot_halves,
     verify_hfp_on_table,
@@ -212,6 +215,45 @@ def test_span_rank_random_pairs(n):
         h = rng.getrandbits(2 * n)
         _assert_span_rank(h | h << (2 * n), rng.getrandbits(length), n)
     _assert_span_rank(0, 0, n)
+
+
+def _halves_gcd(a: int, b: int, n: int) -> int:
+    # gcd(a1, a2, b1, b2, x^(2n) + 1), by the division oracle
+    half = 2 * n
+    mask = (1 << half) - 1
+    g = (1 << half) | 1
+    for p in (a & mask, a >> half, b & mask, b >> half):
+        g = poly_gcd_by_divmod(g, p)
+    return g
+
+
+@pytest.mark.parametrize("n", [96, 192])
+def test_span_rank_at_chain_sizes(n):
+    # lengths 384 and 768 (field width 3), both branches: random pairs with
+    # gcd 1, where the minor is folded mod x^(2n) + 1, and the same pairs
+    # with every half times x^2 + x + 1, a factor of x^(2n) + 1 since 3
+    # divides 2n, so that the gcd is not 1
+    rng = random.Random(n)
+    half = 2 * n
+    mask = (1 << half) - 1
+    m = (1 << half) | 1
+
+    def times_factor(w: int) -> int:
+        lo, hi = (poly_mod(poly_mul_by_bit(h, 0b111), m) for h in (w & mask, w >> half))
+        return lo | hi << half
+
+    pairs = 0
+    while pairs < 3:
+        a, b = rng.getrandbits(4 * n), rng.getrandbits(4 * n)
+        if _halves_gcd(a, b, n) != 1:
+            continue
+        pairs += 1
+        a3, b3 = times_factor(a), times_factor(b)
+        assert _halves_gcd(a3, b3, n) not in (0, 1)
+        for x, y in ((a, b), (a3, b3)):
+            words = kernels_py.codeword_table(x, y, n)
+            rank = rank_of_ints(words[1 : 2 * n + 1] + words[4 * n : 6 * n])
+            assert span_rank(x, y, n) == rank, (x, y, n)
 
 
 def test_verify_hadamard_group_reference(golden):

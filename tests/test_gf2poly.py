@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 import sympy
@@ -14,7 +15,6 @@ from hfpq.gf2poly import (
     modulus_poly,
     poly_divmod,
     poly_gcd,
-    poly_mod,
     poly_mul,
     prefix_xor,
     reverse_bits,
@@ -22,7 +22,13 @@ from hfpq.gf2poly import (
 )
 from hfpq.transforms import double_gcd_check, rank_gcd_criterion
 
-from .oracles import div_x_plus_1_by_bit
+from .oracles import (
+    div_x_plus_1_by_bit,
+    interleave_by_zip,
+    poly_gcd_by_divmod,
+    poly_mod,
+    poly_mul_by_bit,
+)
 
 _X = sympy.symbols("x")
 
@@ -65,7 +71,7 @@ def test_add_self_inverse():
         assert reverse_bits(p ^ q, m) == reverse_bits(p, m) ^ reverse_bits(q, m)
         assert rotl(p ^ q, 5, m) == rotl(p, 5, m) ^ rotl(q, 5, m)
         r, s = rng.randrange(1 << m), rng.randrange(1 << m)
-        assert interleave(p ^ q, r ^ s, m) == interleave(p, r, m) ^ interleave(q, s, m)
+        assert interleave(p ^ q, r ^ s) == interleave(p, r) ^ interleave(q, s)
         if (p ^ q).bit_count() % 2 == 0 and p.bit_count() % 2 == 0:
             assert div_x_plus_1(p ^ q, m) == div_x_plus_1(p, m) ^ div_x_plus_1(q, m)
 
@@ -187,7 +193,7 @@ def test_gcd_with_modulus_respects_square_structure():
         m = 6
         p = rng.randrange(1, 1 << m)
         g_small = poly_gcd(p, modulus_poly(m))
-        g_big = poly_gcd(interleave(p, 0, m), modulus_poly(2 * m))
+        g_big = poly_gcd(interleave(p, 0), modulus_poly(2 * m))
         assert g_big == poly_mul(g_small, g_small)
 
 
@@ -290,20 +296,92 @@ def test_phi2_of_inflated_is_shifted_phi1():
     rng = random.Random(29)
     for _ in range(100):
         p = rng.randrange(1 << 10)
-        assert reverse_bits(interleave(p, 0, 10), 20) == rotl(
-            interleave(reverse_bits(p, 10), 0, 10), 1, 20
+        assert reverse_bits(interleave(p, 0), 20) == rotl(
+            interleave(reverse_bits(p, 10), 0), 1, 20
         )
 
 
 def test_inflate_examples():
-    assert _string(interleave(_bits("11"), 0, 2), 4) == "1010"
-    assert interleave(0, 0, 5) == 0
+    assert _string(interleave(_bits("11"), 0), 4) == "1010"
+    assert interleave(0, 0) == 0
     rng = random.Random(31)
     for _ in range(50):
         p = rng.randrange(1 << 12)
-        q = interleave(p, 0, 12)
+        q = interleave(p, 0)
         assert q.bit_count() == p.bit_count()
         assert all((q >> i) & 1 == 0 for i in range(1, 24, 2))
         # over GF(2), p(x^2) = p(x)^2, and x p(x^2) fills the odd bits
         assert q == poly_mul(p, p)
-        assert interleave(0, p, 12) == q << 1
+        assert interleave(0, p) == q << 1
+
+
+def test_poly_mul_exhaustive_small():
+    for p in range(1 << 7):
+        for q in range(1 << 7):
+            assert poly_mul(p, q) == poly_mul_by_bit(p, q), (p, q)
+
+
+def _field_width(p: int, q: int) -> int:
+    # hex digits per bit in poly_mul's spread operands
+    return (min(p.bit_length(), q.bit_length()).bit_length() + 3) // 4
+
+
+@pytest.mark.parametrize(
+    "bits, width",
+    [(15, 1), (16, 2), (255, 2), (256, 3), (4095, 3), (4096, 4), (65_537, 5)],
+)
+def test_poly_mul_every_field_width(bits, width):
+    # a field counts at most min(len p, len q) terms: all-ones operands at
+    # 15, 255 and 4095 bits fill the middle fields of widths 1, 2 and 3 to
+    # 16^k - 1, the most a field of k hex digits holds
+    rng = random.Random(bits)
+    short = rng.getrandbits(bits) | 1 << (bits - 1)
+    pairs = [
+        (short, rng.getrandbits(bits + rng.randrange(1, 300))),
+        (rng.getrandbits(bits) | 1 << (bits - 1), short),
+        ((1 << bits) - 1, (1 << bits) - 1),
+    ]
+    limit = sys.get_int_max_str_digits()
+    # the widest case reads no decimal string, so a low limit cannot trip it
+    sys.set_int_max_str_digits(640 if width == 5 else limit)
+    try:
+        for p, q in pairs:
+            assert _field_width(p, q) == width
+            want = poly_mul_by_bit(p, q)
+            assert poly_mul(p, q) == want
+            assert poly_mul(q, p) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_poly_mul_zero_and_one():
+    rng = random.Random(37)
+    for p in (0, 1, 2, rng.getrandbits(100), rng.getrandbits(5000)):
+        assert poly_mul(p, 0) == poly_mul(0, p) == 0
+        assert poly_mul(p, 1) == poly_mul(1, p) == p
+
+
+def test_poly_gcd_against_division_loop():
+    rng = random.Random(43)
+    for _ in range(60):
+        p = rng.getrandbits(rng.randrange(3000))
+        q = rng.getrandbits(rng.randrange(3000))
+        if p or q:
+            assert poly_gcd(p, q) == poly_gcd_by_divmod(p, q)
+        # a common factor, so that the gcd is not 1
+        f = rng.getrandbits(rng.randrange(1, 400)) | 1
+        p, q = poly_mul_by_bit(p | 1, f), poly_mul_by_bit(q | 1, f)
+        assert poly_gcd(p, q) == poly_gcd_by_divmod(p, q)
+        assert poly_gcd(p, 0) == poly_gcd(0, p) == p
+
+
+def test_interleave_against_zip():
+    for width in range(1, 8):
+        for even in range(1 << width):
+            for odd in range(1 << width):
+                assert interleave(even, odd) == interleave_by_zip(even, odd, width)
+    rng = random.Random(47)
+    for _ in range(50):
+        width = rng.randrange(1, 5001)
+        even, odd = rng.getrandbits(width), rng.getrandbits(width)
+        assert interleave(even, odd) == interleave_by_zip(even, odd, width)

@@ -7,13 +7,14 @@ import pytest
 
 from hfpq import kernels, kernels_py
 from hfpq.core import BinaryWord, GroupElement
-from hfpq.gf2poly import modulus_poly, poly_mod, poly_mul, reverse_bits, rotl
+from hfpq.gf2poly import modulus_poly, poly_mul, reverse_bits, rotl
 from hfpq.transforms import double_code
 from hfpq.typeq import PASS, TypeQCode, Verdict, verify_hfp
 
 from .oracles import (
     canonical_perm,
     derive_b_by_two_quotients,
+    poly_mod,
     powers_ok,
     prop_mul,
     random_odd_halves,

@@ -37,6 +37,13 @@ ORACLE_ONLY = {
     # the power test with its own parity check, beside first_violation
     # (oracles.powers_ok)
     "powers_ok",
+    # the loops that whole-int arithmetic replaced, and the remainder that
+    # only they use (oracles.poly_mul_by_bit and the rest)
+    "poly_mul_by_bit",
+    "poly_gcd_by_divmod",
+    "interleave_by_zip",
+    "kappa_by_sum",
+    "poly_mod",
 }
 
 

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from hfpq import kernels, typeq
 from hfpq.core import BinaryWord, GroupElement, type_q_table
 from hfpq.gf2poly import Gf2Poly, reverse_bits, rotl
 from hfpq.typeq import (
+    PASS,
     HadamardMatrixQ,
     NotHadamardGroup,
     NotTypeQCandidate,
     TypeQCode,
+    Verdict,
     VerificationError,
     all_codewords,
     build_matrix,
@@ -22,6 +25,7 @@ from hfpq.typeq import (
     derive_b,
     kappa_vector,
     make_code,
+    verify_hfp,
 )
 
 from .conftest import GOLDEN_A, GOLDEN_B, GOLDEN_KAPPA
@@ -31,8 +35,10 @@ from .oracles import (
     canonical_perm,
     d1_elements,
     element_vector,
+    kappa_by_sum,
     matrix_entry,
     prop_mul,
+    random_odd_halves,
     transposed_rows,
 )
 
@@ -95,6 +101,52 @@ def test_kappa_vector_patterns():
 def test_kappa_vector_range():
     with pytest.raises(ValueError):
         kappa_vector(12, 6)
+
+
+def test_kappa_vector_against_sum():
+    for n in range(1, 65):
+        for iota in range(2 * n):
+            assert kappa_vector(iota, n) == kappa_by_sum(iota, n)
+
+
+def _fresh_verdict(code: TypeQCode) -> Verdict:
+    found = kernels.first_violation(code.a_vec.bits, code.b_vec.bits, code.n)
+    return PASS if found is None else Verdict(False, *found)
+
+
+def _memo_codes(golden: TypeQCode) -> list[TypeQCode]:
+    """Passing and failing pairs: the golden a with b and broken b's, then
+    random pairs with odd halves and derived b, which fail the weights."""
+    n, a = golden.n, golden.a_vec
+    u = (1 << golden.length) - 1
+    codes = []
+    for flip in (0, 1, 0, 1 << 5, u, 1 << 17, 0):
+        codes.append(TypeQCode(n, a, BinaryWord(golden.b_vec.bits ^ flip, 4 * n)))
+    rng = random.Random(53)
+    while len(codes) < 14:
+        bits = random_odd_halves(rng, n)
+        b = kernels.derive_b_bits(bits, n)
+        if b is not None:
+            codes.append(TypeQCode(n, BinaryWord(bits, 4 * n), BinaryWord(b, 4 * n)))
+    return codes
+
+
+def test_verdict_memo_equals_fresh_verdict(golden):
+    assert typeq._verdict.cache_info().maxsize == 4
+    typeq._verdict.cache_clear()
+    codes = _memo_codes(golden)
+    seen = set()
+    # the same a with passing and failing b in turn, then more codes than
+    # the memo holds, then every code asked again after its eviction
+    for code in codes + codes[::-1] + codes:
+        verdict = verify_hfp(code)
+        assert verdict == _fresh_verdict(code), code
+        seen.add(verdict.failure)
+        for iota in (None, 0, 2 * code.n - 1):
+            assert verify_hfp(code._replace(iota=iota)) == verdict
+    assert seen == {None, "RelationViolation", "WeightViolation"}
+    info = typeq._verdict.cache_info()
+    assert info.currsize == 4 and info.misses > len(codes)
 
 
 def test_element_vector_special_elements(golden):
