@@ -14,9 +14,13 @@ hit iff both halves of a are odd and P(a2) = 2n - P(a1) componentwise.
 - The general search over the whole space is a join (_row_hits): the
   hits of a row a2 are the odd a1 whose profile is 2n - P(a2), looked up
   in a table that profiles one a1 per rotation class (P is invariant
-  under rotation, proof in _profile_table).  A search with a limit scans
-  the words of each row instead (kernels_py.scan_general: the parity
-  lemma, then the power loop per word).
+  under rotation, proof in _JoinTable).  The table is keyed first by the
+  class key P(h)[:2] = (wt h, wt((1 + x) h)), the weight and twice the
+  number of cyclic runs, which costs one rotate-and-xor per necklace; a
+  class is profiled only when a row's target 2n - P(a2) first names it.
+  Nothing is missed: P(a1) = K implies P(a1)[:2] = K[:2].  A search with
+  a limit scans the words of each row instead (kernels_py.scan_general:
+  the parity lemma, then the power loop per word).
 - In the structured family the profile of a2 follows from that of a1, so
   whether a candidate verifies does not depend on iota (_settled), and
   the family is empty for every odd n >= 3.
@@ -306,15 +310,19 @@ def _settled(a1: int, n: int) -> bool:
     at every even k.  a2 has weight 2n - wt(a1), so both halves are odd iff
     a1 is.  By the lemma the weights of a, ..., a^n decide, so the candidate
     verifies iff wt(a1) is odd and wt(S_k a1) = n for every even k <= n: the
-    even-k columns of P(a1), whatever iota is.
+    even-k columns of P(a1), whatever iota is.  The k = 2 column is
+    wt((1 + x) a1) (_s2_weight), one rotate-and-xor, so at n >= 2 it is
+    tested before the full profile.
 
     (1 + x) a1 = S_2 a1 always has even weight, so for odd n >= 3 no a1
     passes.  At n = 1 there is no even k <= n, and both odd a1 (1 and 2)
     pass.
     """
-    return bool(a1.bit_count() & 1) and all(
-        w == n for w in kernels.half_profile(a1, n)[1::2]
-    )
+    if not a1.bit_count() & 1:
+        return False
+    if n > 1 and _s2_weight(a1, 2 * n) != n:
+        return False
+    return all(w == n for w in kernels.half_profile(a1, n)[1::2])
 
 
 def _structured(n: int) -> Iterator[tuple[int, int, int]]:
@@ -344,38 +352,62 @@ def _structured(n: int) -> Iterator[tuple[int, int, int]]:
             yield iota, a_bits, kernels.derive_b_bits(a_bits, n)
 
 
-def _profile_table(n: int) -> dict[tuple[int, ...], list[int]]:
-    """One odd half-word per rotation class, keyed by profile, increasing.
+def _s2_weight(h: int, half: int) -> int:
+    """wt((1 + x) h) = wt(h + rotl(h, 1)), the k = 2 column of P(h).
 
-    The representatives are the odd necklaces (_necklaces), one pass over
-    them for every weight: the first column of P is the weight, so the
-    key also names the weight class.  P is invariant under rotation: in
-    GF(2)[x]/(x^(2n) + 1), S_k x^s h = x^s S_k h, and multiplying by x^s
-    rotates a half-word, which keeps its weight.  So wt(S_k x^s h) =
-    wt(S_k h) for every k, and one profile per rotation class stands for
-    all of its rotations (_row_hits expands them).  That is about 2n times
-    fewer half_profile calls than one per half-word.
+    It is twice the number of cyclic runs of the half-word h.
     """
-    table: dict[tuple[int, ...], list[int]] = {}
-    for h in _necklaces(2 * n):
-        if h.bit_count() & 1:
-            table.setdefault(kernels.half_profile(h, n), []).append(h)
-    return table
+    return (h ^ ((h << 1 | h >> (half - 1)) & ((1 << half) - 1))).bit_count()
 
 
-def _row_hits(
-    a2: int, n: int, table: dict[tuple[int, ...], list[int]]
-) -> list[tuple[int, int]]:
+class _JoinTable(dict[tuple[int, ...], dict[tuple[int, ...], list[int]]]):
+    """The profile table of the join, profiled one class at a time.
+
+    Maps a class key P(h)[:2] = (wt h, wt((1 + x) h)), or (wt h,) at n = 1,
+    to {P(h): the odd necklaces h with that profile, increasing}.  The
+    representatives are the odd necklaces (_necklaces): P is invariant
+    under rotation, since in GF(2)[x]/(x^(2n) + 1), S_k x^s h = x^s S_k h,
+    and multiplying by x^s rotates a half-word, which keeps its weight.
+    So wt(S_k x^s h) = wt(S_k h) for every k, and one profile per rotation
+    class stands for all of its rotations (_row_hits expands them).
+
+    One pass over the necklaces sorts the odd ones by class key, one
+    rotate-and-xor each; a class is profiled the first time it is looked
+    up, and kept.  A row whose target is K looks up only the class K[:2],
+    and misses nothing: P(a1) = K implies P(a1)[:2] = K[:2].
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+        self.unprofiled: dict[tuple[int, ...], list[int]] = {}
+        half = 2 * n
+        for h in _necklaces(half):
+            weight = h.bit_count()
+            if weight & 1:
+                key = (weight, _s2_weight(h, half)) if n > 1 else (weight,)
+                self.unprofiled.setdefault(key, []).append(h)
+
+    def __missing__(self, key: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+        profiles: dict[tuple[int, ...], list[int]] = {}
+        for h in self.unprofiled.pop(key, ()):
+            profiles.setdefault(kernels.half_profile(h, self.n), []).append(h)
+        self[key] = profiles
+        return profiles
+
+
+def _row_hits(a2: int, n: int, table: _JoinTable) -> list[tuple[int, int]]:
     """The (a, b) hits of the odd row a2, a increasing, by the profile join.
 
     a = a1 + x^(2n) a2 is a hit iff a1 is odd and P(a1) = 2n - P(a2) (the
-    half-profile lemma of kernels_py).  table is _profile_table(n); the
-    hits are the distinct rotations of the matching representatives, each
-    of which matches too.
+    half-profile lemma of kernels_py).  The target K = 2n - P(a2) is looked
+    up in its class K[:2] of table; the hits are the distinct rotations of
+    the matching representatives, each of which matches too.
     """
     half = 2 * n
     key = tuple(half - w for w in kernels.half_profile(a2, n))
-    a1s = {rotl(h, s, half) for h in table.get(key, ()) for s in range(half)}
+    reps = table[key[:2]].get(key, ())
+    a1s = {rotl(h, s, half) for h in reps for s in range(half)}
     base = a2 << half
     return [(base | a1, kernels.derive_b_bits(base | a1, n)) for a1 in sorted(a1s)]
 
@@ -392,18 +424,21 @@ def _general(n: int, stop: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     last step is (stop, []), so the covered bound always reaches stop.
 
     Over the whole space the rows are joined by profile (_row_hits), with
-    one profile table, built when the first row is asked for and kept as
-    long as this generator.  Below a limit the words of each row are
-    scanned (kernels_py.scan_general), which is also the oracle of the
-    join.  A limit covers few rows, but the join profiles every odd
-    rotation class, whatever the limit: search_general(16, 2**40) covers
-    only the rows a2 < 256, yet its table would profile about 2^31 / 32 =
-    67M odd necklaces.
+    one _JoinTable, built when the first row is asked for and kept as long
+    as this generator.  It profiles a class only when a row first needs
+    it, so a caller that stops at the first hit profiles only the classes
+    of the rows before it: at n = 7, 118 half_profile calls up to the first
+    hit, rows included, for 586 odd necklaces.  Below a limit the words of
+    each row are scanned (kernels_py.scan_general), which is also the
+    oracle of the join.  A limit covers few rows, but the table's pass
+    would sort every odd necklace, whatever the limit: search_general(16,
+    2**40) covers only the rows a2 < 256, yet its table would sort about
+    2^31 / 32 = 67M odd necklaces.
     """
     half = 2 * n
     space = 1 << (2 * half)
     last = (stop - 1) >> half
-    table = _profile_table(n) if stop == space else None
+    table = _JoinTable(n) if stop == space else None
     for a2 in _quotient(half):
         if a2 > last:
             break

@@ -12,7 +12,9 @@ reads two columns off a and b), the right-hand side of the
 squared-factorization identity (against
 transforms.doubled_criterion_operand), the class test and the profile
 table over every half-word (against search._quotient and
-search._profile_table), the verifier that reads the word table (against
+search._JoinTable), the join table profiled at once over every odd
+necklace (against search._JoinTable, which profiles one class at a
+time), the verifier that reads the word table (against
 typeq.verify_hfp, which reads a and b alone), the orbit of a generator
 word as a set (against search._expand), the division by x + 1 one bit
 at a time (against gf2poly.div_x_plus_1), b derived with one division
@@ -403,6 +405,20 @@ def profile_class_by_words(w: int, n: int) -> dict[tuple[int, ...], list[int]]:
     table: dict[tuple[int, ...], list[int]] = {}
     for a1 in sorted(sum(1 << i for i in c) for c in combinations(range(2 * n), w)):
         table.setdefault(kernels.half_profile(a1, n), []).append(a1)
+    return table
+
+
+def profile_table(n: int) -> dict[tuple[int, ...], list[int]]:
+    """The join table profiled at once: every odd necklace, keyed by profile.
+
+    A necklace is the least of its rotations, found here by trying every
+    rotation of every odd half-word, in increasing order.
+    """
+    half = 2 * n
+    table: dict[tuple[int, ...], list[int]] = {}
+    for h in range(1 << half):
+        if h.bit_count() & 1 and all(rotl(h, k, half) >= h for k in range(1, half)):
+            table.setdefault(kernels.half_profile(h, n), []).append(h)
     return table
 
 

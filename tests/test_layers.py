@@ -37,6 +37,9 @@ ORACLE_ONLY = {
     # the power test with its own parity check, beside first_violation
     # (oracles.powers_ok)
     "powers_ok",
+    # the join table profiled at once, beside search._JoinTable
+    # (oracles.profile_table)
+    "_profile_table",
     # the loops that whole-int arithmetic replaced, and the remainder that
     # only they use (oracles.poly_mul_by_bit and the rest)
     "poly_mul_by_bit",

@@ -18,8 +18,8 @@ from hfpq.search import (
     ItoScanRow,
     _expand,
     _general,
+    _JoinTable,
     _necklaces,
-    _profile_table,
     _quotient,
     _row_hits,
     _settled,
@@ -39,6 +39,7 @@ from .oracles import (
     least_in_class,
     orbit,
     profile_class_by_words,
+    profile_table,
     prop_mul,
 )
 from .test_kernels import _brute_scan, _powers_4n
@@ -368,6 +369,18 @@ def test_settled_n1_is_vacuous():
     assert [(iota, a & 3) for iota, a, _ in _structured(1)] == [(0, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_settled_is_the_even_columns_of_the_profile(n):
+    # the k = 2 pre-test decides no a1 differently: _settled is "a1 odd
+    # and every even column of P(a1) is n", over every half-word
+    settled = [_settled(a1, n) for a1 in range(1 << (2 * n))]
+    assert settled == [
+        bool(a1.bit_count() & 1)
+        and all(w == n for w in kernels.half_profile(a1, n)[1::2])
+        for a1 in range(1 << (2 * n))
+    ]
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_structured_odd_n_is_empty_at_once(monkeypatch, n):
     def unreachable(*args):
@@ -394,11 +407,48 @@ def test_join_equals_word_scan(n):
     for a2, (end, found) in zip(quotient, rows):
         assert found == kernels.scan_general(n, a2 << half, end)
     if n <= 5:
-        table = _profile_table(n)
+        table = _JoinTable(n)
         for a2 in range(1, 1 << half):
             if a2.bit_count() & 1:
                 row = kernels.scan_general(n, a2 << half, (a2 + 1) << half)
                 assert _row_hits(a2, n, table) == row
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_join_table_classes_are_the_eager_table(n):
+    # each class, once profiled, holds exactly the eager table's entries
+    # whose profile starts with the class key, and is kept; a key with no
+    # necklace gives an empty class
+    eager = profile_table(n)
+    table = _JoinTable(n)
+    classes = list(table.unprofiled)
+    assert sorted(classes) == sorted({key[:2] for key in eager})
+    for c in classes:
+        profiled = table[c]
+        assert profiled == {key: reps for key, reps in eager.items() if key[:2] == c}
+        assert table[c] is profiled
+    assert table.unprofiled == {}
+    # weight 0: no odd necklace
+    assert table[(0,) * min(n, 2)] == {}
+
+
+def test_first_general_hit_profiles_only_the_classes_it_needs(monkeypatch):
+    # up to the first hit at n = 7 the join profiles its rows and the
+    # classes they name: 118 half_profile calls for 586 odd necklaces,
+    # where a table profiled at once would make 628
+    n = 7
+    profile = kernels.half_profile
+    calls = []
+
+    def counted(h, n):
+        calls.append(h)
+        return profile(h, n)
+
+    monkeypatch.setattr(kernels, "half_profile", counted)
+    first = next(hit for _, found in _general(n, 1 << (4 * n)) for hit in found)
+    assert len(calls) == 118
+    monkeypatch.undo()
+    assert first[0] == ito_scan(n)[-1].witness.a_vec.bits
 
 
 def _raw_hits(monkeypatch, run):
@@ -526,7 +576,7 @@ def _generators(n):
     The raw hits are the profile join over every odd row, the word scan's
     equal (n <= 5).
     """
-    table = _profile_table(n)
+    table = _JoinTable(n)
     generators = {}
     for a2 in range(1 << (2 * n)):
         if a2.bit_count() & 1:
@@ -679,9 +729,11 @@ def test_profile_table_expands_to_the_word_tables(n):
     # one necklace per odd rotation class, expanded into its distinct
     # rotations, gives the profile tables of every odd half-word
     half = 2 * n
+    table = _JoinTable(n)
     expanded = {
         key: sorted({rotl(h, s, half) for h in reps for s in range(half)})
-        for key, reps in _profile_table(n).items()
+        for c in list(table.unprofiled)
+        for key, reps in table[c].items()
     }
     words: dict[tuple[int, ...], list[int]] = {}
     for w in range(1, half, 2):
