@@ -85,6 +85,14 @@ def span_rank(a: int, b: int, n: int) -> int:
     The gcd of g with the four halves stops once g = 1, and the last gcd
     is then with m alone, so the minor is first reduced mod m by one
     fold: deg minor < 4n and x^(2n) = 1 mod m, so lo + x^(2n) hi = lo + hi.
+
+    Norm form.  With phi(p) = p(x^-1) = x rev(p) and N(p) = p phi(p), if
+    wt(a) is even and b is derive_b_bits(a, n) or its complement, then
+    (x + 1)(a1 b2 + a2 b1) = N(a1) + N(a2) in R.  Proof: multiply
+    derive_b_bits's (x + 1) b1 = a1 + phi(a2) by a2, (x + 1) b2 = a2 +
+    phi(a1) by a1, and add; the two a1 a2 cancel.  b + u adds (x + 1) u_h
+    (a1 + a2) = 0, as (x + 1) u_h = m.  tests/test_analysis.py checks it
+    for every even-weight a at n <= 3, both b, and on random a up to n = 96.
     """
     half = 2 * n
     mask = (1 << half) - 1

@@ -96,19 +96,6 @@ def poly_mul(p: int, q: int) -> int:
     return int(digits[(len(digits) - 1) % k::k].translate(_LOW_BIT), 2)
 
 
-def poly_divmod(p: int, q: int) -> tuple[int, int]:
-    """Quotient and remainder of plain polynomials, q nonzero."""
-    if q == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    dq = poly_degree(q)
-    quo = 0
-    while p.bit_length() - 1 >= dq and p:
-        shift = p.bit_length() - 1 - dq
-        quo ^= 1 << shift
-        p ^= q << shift
-    return quo, p
-
-
 def poly_gcd(p: int, q: int) -> int:
     """Greatest common divisor of plain polynomials (monic over GF(2)).
 

@@ -45,9 +45,11 @@ dedup sees every raw hit exactly once.  No search builds a kernel from
 codewords: from n = 3 on it is read off a by analysis.structured_iota
 (F5) once per expanded hit, and its iota is attached to every image; at
 n <= 2 the code is linear and its kernel is its word table.  search_k2 and
-search_general consume their generator completely; ito_scan takes the
-first hit of each, which is the smallest hit overall because the least
-word of an orbit lies in a quotient row (or has a quotient a1).
+search_general stream their generator's raw hits into the dedup.
+ito_scan's witness is the first hit of _structured(n), else the least
+general hit, the first of _general(n): the least word of an orbit lies in
+a quotient row.  The first structured hit need not be least: at n = 4 it
+is a = 24,075 (iota 0), and a = 2,863 (iota 7) is a hit too.
 
 The key of a raw hit a names its code C: from n = 3 on one int, a
 canonical member of the kernel coset a + K(C), which is exactly the set
@@ -212,9 +214,10 @@ def _expand(a: int, b: int, iota: int | None, n: int) -> list[Hit]:
         sigma b is set.  sigma commutes with pi_a and pi_b (S), so
         sigma b solves the equations of sigma a; b is unique up to
         complement, and derive_b_bits returns the one with bit 0 clear.
-    F3. The hits whose code is C are exactly a + K(C).  If C is linear
-        (n <= 2), K(C) = C = a + K(C).  Otherwise K = K(C) has dimension 1
-        or 2 (the paper's theorem), n >= 3, and:
+    F3. From n = 3 on, the hits whose code is C are exactly a + K(C).  (At
+        n <= 2 the key is C itself, and only half of C are hits: 4 of 8 at
+        n = 1, 8 of 16 at n = 2.)  Here K = K(C) has dimension 1 or 2 (the
+        paper's theorem), and:
         (subset) If a' is a hit with code C as well, left multiplication
             by a and by a' maps C onto C, so a + pi_a C = C = a' + pi_a C.
             So C + (a + a') = C, and a + a' is in K.
@@ -459,13 +462,17 @@ def search_k2(n: int, *, progress: Progress | None = None) -> list[TypeQCode]:
     2.  Each quotient candidate stands for its whole orbit.
     """
     _check_n(n)
-    half = 2 * n
-    hits: list[Hit] = []
-    for iota, a_bits, b_bits in _structured(n) if n >= 3 else ():
-        hits += _expand(a_bits, b_bits, iota, n)
-    if progress is not None:
-        progress(half << (half - 1), len(hits))
-    return _sorted_unique(hits)
+
+    def hits() -> Iterator[Hit]:
+        raw = 0
+        for iota, a_bits, b_bits in _structured(n) if n >= 3 else ():
+            images = _expand(a_bits, b_bits, iota, n)
+            raw += len(images)
+            yield from images
+        if progress is not None:
+            progress(2 * n << (2 * n - 1), raw)
+
+    return _sorted_unique(hits())
 
 
 def search_general(
@@ -502,31 +509,24 @@ def search_general(
 
 
 class ItoScanRow(NamedTuple):
-    """Existence record for one length 4n; exists is None when truncated."""
+    """Existence record for one length 4n: exists iff witness is not None."""
 
     n: int
-    exists: bool | None
+    exists: bool
     witness: TypeQCode | None
 
 
-def ito_scan(n_max: int, limit: int | None = None) -> list[ItoScanRow]:
+def ito_scan(n_max: int) -> list[ItoScanRow]:
     """Existence of a type-Q code for each n up to n_max.
 
-    The witness is the first structured hit, else the first general hit.
-    A truncated scan that finds nothing reports None (unknown), never
-    False: only a completed enumeration can prove nonexistence.
+    The witness is the first hit of _structured(n), else the least general
+    hit (module docstring).  Each scan is complete: no witness, no code.
     """
     rows = []
     for n in range(1, n_max + 1):
-        stop = _stop(n, limit)
         hit = next(((a, b) for _, a, b in _structured(n)), None)
         if hit is None:
-            hit = next((h for _, found in _general(n, stop) for h in found), None)
-        if hit is None:
-            exists = False if stop == 1 << (4 * n) else None
-            witness = None
-        else:
-            exists = True
-            witness = _code(n, *hit, structured_iota(hit[0], n))
-        rows.append(ItoScanRow(n, exists, witness))
+            hit = next((h for _, found in _general(n, 1 << (4 * n)) for h in found), None)
+        witness = None if hit is None else _code(n, *hit, structured_iota(hit[0], n))
+        rows.append(ItoScanRow(n, witness is not None, witness))
     return rows

@@ -20,7 +20,6 @@ from .gf2poly import (
     X_PLUS_1,
     interleave,
     modulus_poly,
-    poly_divmod,
     poly_gcd,
     prefix_xor,
     reverse_bits,
@@ -199,13 +198,9 @@ def rank_gcd_criterion(a1: int, iota: int, n: int) -> bool:
 
 
 def _is_power_of_x_plus_1(p: int) -> bool:
-    if p == 0:
-        return False
-    while p != 1:
-        p, r = poly_divmod(p, X_PLUS_1)
-        if r:
-            return False
-    return True
+    # x^(2^k) + 1 = (x + 1)^(2^k) over GF(2): its divisors are the (x + 1)^j
+    # with j <= 2^k, and here 2^k > p.bit_length() > deg p
+    return p > 0 and poly_gcd(p, modulus_poly(1 << p.bit_length().bit_length())) == p
 
 
 class DoubleGcdCheck(NamedTuple):

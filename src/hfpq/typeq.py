@@ -93,9 +93,9 @@ class TypeQCode(_TypeQCodeFields):
         return 4 * self.n
 
 
-def make_code(n: int, a_vec: BinaryWord, iota: int | None = None) -> TypeQCode:
+def make_code(n: int, a_vec: BinaryWord) -> TypeQCode:
     """Build a TypeQCode with b derived from a."""
-    return TypeQCode(n, a_vec, derive_b(a_vec, n), iota)
+    return TypeQCode(n, a_vec, derive_b(a_vec, n))
 
 
 def derive_b(a_vec: BinaryWord, n: int) -> BinaryWord:
@@ -135,7 +135,8 @@ def kappa_vector(iota: int, n: int) -> BinaryWord:
     return BinaryWord(v | (w << half), 4 * n)
 
 
-@lru_cache(maxsize=4096)
+# one table: callers share a table only within one code
+@lru_cache(maxsize=1)
 def _codeword_ints(a_bits: int, b_bits: int, n: int) -> tuple[int, ...]:
     return kernels.codeword_table(a_bits, b_bits, n)
 

@@ -41,7 +41,7 @@ from hfpq.analysis import (
     rank_of_ints,
 )
 from hfpq.core import BinaryWord, GroupElement, element_index, group_mul
-from hfpq.gf2poly import poly_divmod, poly_mul, reverse_bits, rotl
+from hfpq.gf2poly import X_PLUS_1, poly_degree, poly_mul, reverse_bits, rotl
 from hfpq.kernels_py import _bad_power
 from hfpq.typeq import (
     PASS,
@@ -534,6 +534,19 @@ def poly_mul_by_bit(p: int, q: int) -> int:
     return out
 
 
+def poly_divmod(p: int, q: int) -> tuple[int, int]:
+    """Quotient and remainder of plain polynomials, q nonzero."""
+    if q == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    dq = poly_degree(q)
+    quo = 0
+    while p.bit_length() - 1 >= dq and p:
+        shift = p.bit_length() - 1 - dq
+        quo ^= 1 << shift
+        p ^= q << shift
+    return quo, p
+
+
 def poly_mod(p: int, q: int) -> int:
     return poly_divmod(p, q)[1]
 
@@ -545,6 +558,17 @@ def poly_gcd_by_divmod(p: int, q: int) -> int:
     while q:
         p, q = q, poly_mod(p, q)
     return p
+
+
+def is_power_of_x_plus_1_by_division(p: int) -> bool:
+    """Whether p = (x + 1)^j for some j >= 0: divide by x + 1 until 1."""
+    if p == 0:
+        return False
+    while p != 1:
+        p, r = poly_divmod(p, X_PLUS_1)
+        if r:
+            return False
+    return True
 
 
 def interleave_by_zip(even: int, odd: int, width: int) -> int:

@@ -16,6 +16,7 @@ from hfpq.analysis import (
     span_rank,
 )
 from hfpq.core import BinaryWord, GroupTable, type_q_table
+from hfpq.gf2poly import reverse_bits, rotl
 from hfpq.typeq import (
     TypeQCode,
     all_codewords,
@@ -215,6 +216,39 @@ def test_span_rank_random_pairs(n):
         h = rng.getrandbits(2 * n)
         _assert_span_rank(h | h << (2 * n), rng.getrandbits(length), n)
     _assert_span_rank(0, 0, n)
+
+
+def _assert_norm_identity(a: int, n: int) -> None:
+    # (x + 1)(a1 b2 + a2 b1) = N(a1) + N(a2) mod x^(2n) + 1, N(p) = p x rev(p),
+    # for both b of an even-weight a, by the bitwise product and division
+    half = 2 * n
+    mask = (1 << half) - 1
+    m = (1 << half) | 1
+    a1, a2 = a & mask, a >> half
+    norms = poly_mod(
+        poly_mul_by_bit(a1, rotl(reverse_bits(a1, half), 1, half))
+        ^ poly_mul_by_bit(a2, rotl(reverse_bits(a2, half), 1, half)),
+        m,
+    )
+    b = kernels_py.derive_b_bits(a, n)
+    for b1, b2 in ((b & mask, b >> half), (b & mask ^ mask, b >> half ^ mask)):
+        minor = poly_mul_by_bit(a1, b2) ^ poly_mul_by_bit(a2, b1)
+        assert poly_mod(poly_mul_by_bit(0b11, minor), m) == norms, (a, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_identity_every_even_weight_a(n):
+    for a in range(1 << (4 * n)):
+        if not a.bit_count() & 1:
+            _assert_norm_identity(a, n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 24, 48, 96])
+def test_norm_identity_random_a(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        a = rng.getrandbits(4 * n)
+        _assert_norm_identity(a ^ a.bit_count() & 1, n)
 
 
 def _halves_gcd(a: int, b: int, n: int) -> int:

@@ -13,7 +13,6 @@ from hfpq.gf2poly import (
     div_x_plus_1,
     interleave,
     modulus_poly,
-    poly_divmod,
     poly_gcd,
     poly_mul,
     prefix_xor,
@@ -25,6 +24,7 @@ from hfpq.transforms import double_gcd_check, rank_gcd_criterion
 from .oracles import (
     div_x_plus_1_by_bit,
     interleave_by_zip,
+    poly_divmod,
     poly_gcd_by_divmod,
     poly_mod,
     poly_mul_by_bit,

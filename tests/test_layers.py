@@ -40,13 +40,14 @@ ORACLE_ONLY = {
     # the join table profiled at once, beside search._JoinTable
     # (oracles.profile_table)
     "_profile_table",
-    # the loops that whole-int arithmetic replaced, and the remainder that
-    # only they use (oracles.poly_mul_by_bit and the rest)
+    # the loops that whole-int arithmetic replaced, and the division and
+    # remainder that only they use (oracles.poly_mul_by_bit and the rest)
     "poly_mul_by_bit",
     "poly_gcd_by_divmod",
     "interleave_by_zip",
     "kappa_by_sum",
     "poly_mod",
+    "poly_divmod",
 }
 
 

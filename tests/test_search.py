@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import pytest
 
@@ -292,12 +293,34 @@ def test_kernel_iota_never_finds_a_power_of_a(n):
         _assert_iota_matches_kernel(words, n)
 
 
-def test_ito_scan_capped_is_unknown_never_false():
-    rows = ito_scan(3, limit=4)
+def test_ito_scan_witness_is_first_structured_else_least_general():
+    rows = ito_scan(8)
     for row in rows:
-        assert row.exists is not False
-        if row.witness is None:
-            assert row.exists is None
+        assert row.exists is (row.witness is not None)
+    for n in (1, 2, 4, 6, 8):
+        assert rows[n - 1].witness.a_vec.bits == next(_structured(n))[1]
+    for n in (3, 5):
+        hits = kernels.scan_general(n, 0, 1 << (4 * n))
+        assert rows[n - 1].witness.a_vec.bits == min(a for a, _ in hits)
+    # first, not least: at n = 4 a smaller structured hit has iota 7
+    least = min(a for a, _ in kernels.scan_general(4, 0, 1 << 16))
+    assert (least, structured_iota(least, 4)) == (2863, 7)
+    assert rows[3].witness.a_vec.bits == 24075
+
+
+def test_searches_stream_raw_hits_into_dedup(monkeypatch):
+    kinds, calls = [], []
+
+    def spy(hits):
+        kinds.append(isinstance(hits, Iterator))
+        return _sorted_unique(hits)
+
+    monkeypatch.setattr(search, "_sorted_unique", spy)
+    search_general(3)
+    assert len(search_k2(4, progress=lambda *call: calls.append(call))) == 128
+    assert kinds == [True, True]
+    raw = sum(len(_expand(a, b, iota, 4)) for iota, a, b in _structured(4))
+    assert calls == [(8 << 7, raw)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -19,7 +19,6 @@ from hfpq.core import BinaryWord
 from hfpq.gf2poly import (
     X_PLUS_1,
     modulus_poly,
-    poly_divmod,
     poly_gcd,
     poly_mul,
     reverse_bits,
@@ -51,7 +50,9 @@ from .oracles import (
     column_code,
     flip_rows,
     flipped_columns,
+    is_power_of_x_plus_1_by_division,
     kernel_iota,
+    poly_divmod,
     random_odd_halves,
     squared_factorization,
     table_rows,
@@ -382,9 +383,9 @@ def test_double_rejects_iota_of_the_wrong_exponent():
     # alone does not tell them apart
     a = BinaryWord.from_string("0000101100101111")
     assert kernel_iota(codeword_ints(make_code(4, a)), 4)[1] == 7
-    assert double_code(make_code(4, a, iota=7)).iota == 14
+    assert double_code(make_code(4, a)._replace(iota=7)).iota == 14
     with pytest.raises(ValueError):
-        double_code(make_code(4, a, iota=3))
+        double_code(make_code(4, a)._replace(iota=3))
 
 
 def test_double_small_hits_kernel_exponent_doubles(k2_hits):
@@ -428,7 +429,7 @@ def test_double_doubles_non_maximal_ranks():
             break
     assert first == FIRST_K2_OF_RANK_48
     for rank, a_string in FIRST_K2_OF_RANK_48.items():
-        code = make_code(12, BinaryWord.from_string(a_string), 0)
+        code = make_code(12, BinaryWord.from_string(a_string))._replace(iota=0)
         report = analyze(code)
         assert (report.rank, report.kernel_dim) == (rank, 2)
         doubled = analyze(double_code(code))
@@ -559,6 +560,12 @@ def test_double_chain_through_word_size_boundary(k2_hits):
         assert rep.bound_violations == ()
         code = doubled
     assert code.length == 128
+
+
+def test_is_power_of_x_plus_1_is_the_division_loop():
+    # the one gcd with x^(2^k) + 1 = (x + 1)^(2^k) against dividing by x + 1
+    for p in range(1 << 14):
+        assert transforms._is_power_of_x_plus_1(p) == is_power_of_x_plus_1_by_division(p)
 
 
 def test_double_gcd_exhaustive_small():

@@ -149,6 +149,15 @@ def test_verdict_memo_equals_fresh_verdict(golden):
     assert info.currsize == 4 and info.misses > len(codes)
 
 
+def test_word_table_cache_holds_one_table(golden, golden_chain):
+    # a table is shared within one code only, so the cache pins no other
+    typeq._codeword_ints.cache_clear()
+    build_matrix(golden)
+    build_matrix(golden_chain[0][0])
+    info = typeq._codeword_ints.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+
+
 def test_element_vector_special_elements(golden):
     assert element_vector(GroupElement(0, False), golden) == BinaryWord.zero(24)
     assert element_vector(GroupElement(12, False), golden) == BinaryWord.all_ones(24)
@@ -321,7 +330,7 @@ def test_construct_from_group_rejects_bad_subset(golden):
 
 
 def test_make_code_derives_b(golden):
-    code = make_code(6, golden.a_vec, iota=11)
+    code = make_code(6, golden.a_vec)._replace(iota=11)
     assert code.b_vec == golden.b_vec
 
 
